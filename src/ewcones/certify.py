@@ -15,7 +15,7 @@ import numpy as np
 from .cones import cone_residuals
 from .family import WitnessParams, witness_from_params
 from .linalg import hermitian_eig, is_hermitian, partial_transpose
-from .maps import Witness
+from .maps import Witness, _circulant, _ii_operator
 
 __all__ = [
     "Certificate",
@@ -47,16 +47,8 @@ def probe_state(epsilon: float) -> PptProbe:
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    rho = np.zeros((16, 16), dtype=complex)
     weights = (1.0, float(epsilon), 1.0, 1.0 / float(epsilon))
-    for i in range(4):
-        for s, w in enumerate(weights):
-            j = (i + s) % 4
-            rho[4 * i + j, 4 * i + j] += w
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                rho[4 * i + i, 4 * j + j] += 1.0
+    rho = _ii_operator(_circulant(weights).ravel(), np.ones((4, 4)))
     for m, name in ((rho, "probe"), (partial_transpose(rho, 4, 4), "partial transpose")):
         low = hermitian_eig(m).values[0]
         if low < -EVIDENCE_TOL:
@@ -73,8 +65,8 @@ def pairing(w: Witness, probe: PptProbe) -> float:
 class Certificate:
     """Decomposability verdict with machine-checkable evidence.
 
-    Indecomposable certificates carry the probe parameter, the negative
-    pairing value, and the full interval of violating probe parameters.
+    Indecomposable certificates carry the probe state and its parameter, the
+    negative pairing value, and the full interval of violating probe parameters.
     Decomposable certificates carry the split W = P + Q^Gamma, the spectrum
     of the Gram-type matrix controlling P, and the reconstruction error.
     """
@@ -87,6 +79,7 @@ class Certificate:
     epsilon: float | None = None
     pairing_value: float | None = None
     epsilon_interval: tuple[float, float] | None = None
+    probe: PptProbe | None = None
     p_op: np.ndarray | None = None
     q_op: np.ndarray | None = None
     p_psd: bool | None = None
@@ -113,22 +106,12 @@ def _choose_epsilon(b: float, d: float) -> tuple[float, tuple[float, float]]:
     return float(eps), interval
 
 
-def _decomposition_parts(a: float, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
-    p = np.zeros((16, 16), dtype=complex)
-    q = np.zeros((16, 16), dtype=complex)
-    for i in range(4):
-        i1, i2, i3 = (i + 1) % 4, (i + 2) % 4, (i + 3) % 4
-        p[4 * i + i, 4 * i + i] += a
-        p[4 * i + i, 4 * i1 + i1] -= 1.0 - b
-        p[4 * i + i, 4 * i3 + i3] -= 1.0 - b
-        p[4 * i + i, 4 * i2 + i2] -= 1.0 - c
-        q[4 * i + i1, 4 * i + i1] += b
-        q[4 * i + i2, 4 * i + i2] += c
-        q[4 * i + i3, 4 * i + i3] += b
-        q[4 * i + i1, 4 * i1 + i] -= b
-        q[4 * i + i3, 4 * i3 + i] -= b
-        q[4 * i + i2, 4 * i2 + i] -= c
-    return p, q
+def _decomposition_parts(a: float, b: float, c: float) -> tuple[np.ndarray, ...]:
+    """Gram circulant, P and Q of the split W = P + Q^Gamma on the b = d line."""
+    gram = _circulant([a, b - 1.0, c - 1.0, b - 1.0])
+    p = _ii_operator(np.zeros(16), gram)
+    q_gamma = _ii_operator(_circulant([0.0, b, c, b]).ravel(), _circulant([0.0, -b, -c, -b]))
+    return gram, p, partial_transpose(q_gamma, 4, 4)
 
 
 def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) -> Certificate:
@@ -162,15 +145,10 @@ def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) ->
             epsilon=eps,
             pairing_value=value,
             epsilon_interval=interval,
+            probe=probe,
         )
-    p, q = _decomposition_parts(a, b, c)
-    gram = np.zeros((4, 4))
-    for i in range(4):
-        gram[i, i] = a
-        gram[i, (i + 1) % 4] = b - 1.0
-        gram[i, (i + 3) % 4] = b - 1.0
-        gram[i, (i + 2) % 4] = c - 1.0
-    a_eigs = hermitian_eig(gram.astype(complex)).values
+    gram, p, q = _decomposition_parts(a, b, c)
+    a_eigs = hermitian_eig(gram).values
     recon = w.operator - p - partial_transpose(q, 4, 4)
     p_low = hermitian_eig(p).values[0]
     q_low = hermitian_eig(q).values[0]

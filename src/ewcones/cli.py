@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 
 from . import __version__
-from .certify import block_positivity_min, certify_decomposability, detect, probe_state
+from .certify import block_positivity_min, certify_decomposability, detect
 from .cones import bd_curve, cone_residuals, sample_cloud, special_points
 from .family import WitnessParams, abcd_from_euler, witness_from_params
 from .spa import spa_decompose
@@ -93,6 +93,8 @@ def _parse_floats(tokens: list[str], count: int, flag: str) -> list[float]:
 
 
 def _resolve_params(args: argparse.Namespace) -> WitnessParams:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise CommandError("usage", f"--tol must be finite and positive, got {args.tol}", 2)
     if args.euler is not None:
         angles = _parse_floats(args.euler, 3, "--euler")
         args.euler = angles
@@ -130,6 +132,11 @@ def _run_record(command, inputs, outputs, errata, seed):
         "tool_version": __version__,
         "seed": seed,
     }
+
+
+def _dumps(record: dict) -> str:
+    # strict JSON: a NaN or infinity raises ValueError instead of printing
+    return json.dumps(record, indent=2, allow_nan=False)
 
 
 def _witness_inputs(args: argparse.Namespace) -> dict:
@@ -173,7 +180,7 @@ def _certificate_payload(cert) -> dict:
         out["pairing_value"] = cert.pairing_value
         # null upper endpoint means unbounded
         out["epsilon_interval"] = [lo, None if math.isinf(hi) else hi]
-        out["probe_matrix"] = matrix_to_pairs(probe_state(cert.epsilon).state)
+        out["probe_matrix"] = matrix_to_pairs(cert.probe.state)
     else:
         out["a_eigenvalues"] = [float(v) for v in cert.a_eigenvalues]
         out["p_psd"] = cert.p_psd
@@ -185,6 +192,8 @@ def _certificate_payload(cert) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict:
+    if args.restarts < 1:
+        raise CommandError("usage", f"--restarts must be at least 1, got {args.restarts}", 2)
     params = _resolve_params(args)
     seed = _resolve_seed(args)
     cert = certify_decomposability(params, tol=args.tol)
@@ -250,9 +259,10 @@ def _cmd_geometry(args: argparse.Namespace) -> dict:
     }
     record = _run_record("geometry", inputs, outputs, [], None)
     if args.out is not None:
+        text = _dumps(record)
         try:
             with open(args.out, "w") as fh:
-                json.dump(record, fh, indent=2)
+                fh.write(text)
         except OSError as exc:
             raise CommandError("io", f"cannot write {args.out}: {exc}", 4) from None
     return record
@@ -337,18 +347,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        record = args.handler(args)
+        text = _dumps(args.handler(args))
     except CommandError as exc:
-        print(json.dumps(
-            {"command": args.command, "error": {"kind": exc.kind, "message": str(exc)}},
-            indent=2,
-        ))
-        return exc.code
+        kind, message, code = exc.kind, str(exc), exc.code
     except ValueError as exc:
-        print(json.dumps(
-            {"command": args.command, "error": {"kind": "validation", "message": str(exc)}},
-            indent=2,
-        ))
-        return 3
-    print(json.dumps(record, indent=2))
-    return 0
+        kind, message, code = "validation", str(exc), 3
+    else:
+        print(text)
+        return 0
+    print(_dumps({"command": args.command, "error": {"kind": kind, "message": message}}))
+    return code

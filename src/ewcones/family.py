@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron
-from .maps import Witness, _unit
+from .maps import Witness, _circulant, _ii_operator
 
 __all__ = [
     "N3Params",
@@ -50,7 +49,9 @@ class WitnessParams:
         return np.array([self.a, self.b, self.c, self.d])
 
     def validate(self, sum_tol: float = PARAM_SUM_TOL, neg_tol: float = PARAM_NEG_TOL):
-        """Raise ValueError when the sum or sign constraints fail."""
+        """Raise ValueError when a parameter is non-finite or breaks the sum or sign rules."""
+        if not np.all(np.isfinite(self.as_array())):
+            raise ValueError(f"parameters must be finite, got {self.as_array().tolist()}")
         residual = self.a + self.b + self.c + self.d - 3.0
         if abs(residual) > sum_tol:
             raise ValueError(
@@ -209,17 +210,8 @@ def appendix_matrix(block: np.ndarray, corrected: bool = True) -> np.ndarray:
 def witness_from_params(params: WitnessParams) -> Witness:
     """Assemble the circulant witness for validated parameters."""
     params.validate()
-    vals = params.as_array()
-    n = 4
-    w = np.zeros((16, 16), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                block = np.diag([vals[(k - i) % 4] for k in range(4)]).astype(complex)
-            else:
-                block = -_unit(i, j, n)
-            w += kron(_unit(i, j, n), block)
-    return Witness(n=n, operator=w)
+    block = _circulant([params.a, -1.0, -1.0, -1.0])
+    return Witness(n=4, operator=_ii_operator(_circulant(params.as_array()).ravel(), block))
 
 
 def params_from_witness(w: Witness, tol: float = 1e-10) -> WitnessParams:

@@ -109,8 +109,5 @@ def diag_expectations(basis: GellMannBasis) -> np.ndarray:
     Row i is the diagonal-sector coordinate vector of the ket projector
     |i><i|; these vectors drive the stochastic matrix of the rotation maps.
     """
-    n = basis.n
-    mu = np.zeros((n, n - 1))
-    for l in range(1, n):
-        mu[:, l - 1] = np.diag(basis.elements[l]).real
-    return mu
+    diagonals = np.diagonal(basis.elements[1 : basis.n], axis1=1, axis2=2)
+    return np.ascontiguousarray(diagonals.real.T)

@@ -83,7 +83,8 @@ def hermitian_eig(
     Sweeps over all index pairs applying two-sided unitary plane rotations
     until the off-diagonal Frobenius mass drops below tol times the Frobenius
     norm of the input. Returns ascending eigenvalues and orthonormal
-    eigenvector columns.
+    eigenvector columns; raises numpy.linalg.LinAlgError (a ValueError) when
+    max_sweeps sweeps leave the mass above that threshold.
     """
     a = _require_hermitian(m, HERMITIAN_TOL).copy()
     n = a.shape[0]
@@ -128,6 +129,8 @@ def hermitian_eig(
                 col_q = v[:, p] * u_pq + v[:, q] * u_qq
                 v[:, p] = col_p
                 v[:, q] = col_q
+    if _off_diagonal_mass(a) > threshold:
+        raise np.linalg.LinAlgError(f"Jacobi did not converge in {max_sweeps} sweeps")
     values = np.diag(a).real
     order = np.argsort(values, kind="stable")
     return EigenResult(values[order].copy(), v[:, order].copy())

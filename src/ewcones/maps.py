@@ -10,6 +10,7 @@ the stochastic matrix to its circulant average.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -143,6 +144,13 @@ def map_from_embedding(emb: OrthogonalEmbedding) -> KossakowskiMap:
     return KossakowskiMap(n=n, rotation=r, basis=build_basis(n))
 
 
+@cache
+def _diag_table(n: int) -> np.ndarray:
+    mu = diag_expectations(build_basis(n))
+    mu.flags.writeable = False
+    return mu
+
+
 def phi_matrix(emb: OrthogonalEmbedding) -> np.ndarray:
     """Doubly stochastic matrix of the map's action on ket projectors.
 
@@ -151,7 +159,7 @@ def phi_matrix(emb: OrthogonalEmbedding) -> np.ndarray:
     weights of the i-th ket projector.
     """
     n = emb.n
-    mu = diag_expectations(build_basis(n))
+    mu = _diag_table(n)
     return 1.0 / n + (mu @ emb.block @ mu.T) / (n - 1)
 
 
@@ -172,28 +180,40 @@ def _unit(i: int, j: int, n: int) -> np.ndarray:
     return m
 
 
+def _circulant(first_row) -> np.ndarray:
+    """Matrix whose row i is first_row shifted right by i places."""
+    v = np.asarray(first_row)
+    k = np.arange(len(v))
+    return v[(k[None, :] - k[:, None]) % len(v)]
+
+
+def _ii_operator(diagonal, block) -> np.ndarray:
+    """Operator on C^n x C^n with the given main diagonal and n x n block on span{|ii>}.
+
+    Every operator the package assembles has this sparsity: the block fills
+    the entries between |ii> and |jj> (its own diagonal overrides the main
+    diagonal there) and everything else off the main diagonal is zero.
+    """
+    n = len(block)
+    # adding +0.0 turns -0.0 into 0.0, so records never serialize a signed zero
+    op = np.diag(np.asarray(diagonal, dtype=complex) + 0.0)
+    ii = np.arange(0, n * n, n + 1)
+    op[np.ix_(ii, ii)] = np.asarray(block) + 0.0
+    return op
+
+
 def build_witness(emb: OrthogonalEmbedding) -> Witness:
     """Witness with -|i><j| off-diagonal blocks and stochastic diagonal blocks."""
     n = emb.n
-    phi = phi_matrix(emb)
-    w = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                block = np.diag((n - 1) * phi[i, :]).astype(complex)
-            else:
-                block = -_unit(i, j, n)
-            w += kron(_unit(i, j, n), block)
-    return Witness(n=n, operator=w)
+    scaled = (n - 1) * phi_matrix(emb)
+    block = -np.ones((n, n))
+    np.fill_diagonal(block, np.diag(scaled))
+    return Witness(n=n, operator=_ii_operator(scaled.ravel(), block))
 
 
 def max_entangled_projector(n: int) -> np.ndarray:
     """Projector onto the uniform maximally entangled vector of C^n x C^n."""
-    v = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        v[i * n + i] = 1.0
-    v /= np.sqrt(n)
-    return np.outer(v, v.conj())
+    return _ii_operator(np.zeros(n * n), np.full((n, n), 1.0 / n))
 
 
 def choi_witness(kmap: KossakowskiMap) -> Witness:
@@ -224,30 +244,31 @@ class WeylSet:
 def build_weyl_set(n: int) -> WeylSet:
     """Construct all n*n shift-and-phase unitaries and their vectors."""
     omega = np.exp(2j * np.pi / n)
+    m = np.arange(n)
     unitaries = np.zeros((n, n, n, n), dtype=complex)
-    vectors = np.zeros((n * n, n * n), dtype=complex)
     for k in range(n):
         for l in range(n):
-            u = np.zeros((n, n), dtype=complex)
-            for m in range(n):
-                # ket labels are 1-based in the phase exponent
-                u[m, (m + l) % n] = omega ** (k * (m + 1))
-            unitaries[k, l] = u
-            v = np.zeros(n * n, dtype=complex)
-            for i in range(n):
-                v[i * n : (i + 1) * n] = u[:, i]
-            vectors[k * n + l] = v / np.sqrt(n)
+            # ket labels are 1-based in the phase exponent
+            unitaries[k, l, m, (m + l) % n] = omega ** (k * (m + 1))
+    # entry i * n + j of vector k * n + l is U_kl[j, i]
+    vectors = unitaries.transpose(0, 1, 3, 2).reshape(n * n, n * n) / np.sqrt(n)
     return WeylSet(n=n, unitaries=unitaries, vectors=vectors)
+
+
+@cache
+def _default_weyl_set(n: int) -> WeylSet:
+    weyl = build_weyl_set(n)
+    weyl.unitaries.flags.writeable = False
+    weyl.vectors.flags.writeable = False
+    return weyl
 
 
 def twirl(w: Witness, weyl: WeylSet | None = None) -> Witness:
     """Project the witness onto the span of the Weyl entangled projectors."""
     if weyl is None:
-        weyl = build_weyl_set(w.n)
+        weyl = _default_weyl_set(w.n)
     if weyl.n != w.n:
         raise ValueError(f"dimension mismatch: witness n={w.n}, weyl n={weyl.n}")
-    out = np.zeros_like(w.operator)
-    for v in weyl.vectors:
-        weight = float((v.conj() @ w.operator @ v).real)
-        out += weight * np.outer(v, v.conj())
-    return Witness(n=w.n, operator=out)
+    vecs = weyl.vectors
+    weights = np.einsum("ka,ab,kb->k", vecs.conj(), w.operator, vecs).real
+    return Witness(n=w.n, operator=(vecs.T * weights) @ vecs.conj())

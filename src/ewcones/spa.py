@@ -7,12 +7,14 @@ constructively by a split into 2 x 2 supported blocks plus a diagonal rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 
 import numpy as np
 
 from .family import WitnessParams, witness_from_params
 from .linalg import hermitian_eig, partial_transpose
-from .maps import Witness
+from .maps import Witness, _circulant, _ii_operator
 
 __all__ = [
     "SpaResult",
@@ -63,12 +65,11 @@ def spa3_check(params: WitnessParams) -> tuple[float, float, float]:
 
 
 def _pair_term(i: int, j: int) -> np.ndarray:
-    sigma = np.zeros((16, 16), dtype=complex)
-    for x, y in ((i, j), (j, i), (i, i), (j, j)):
-        sigma[4 * x + y, 4 * x + y] += 1.0
-    sigma[4 * i + i, 4 * j + j] -= 1.0
-    sigma[4 * j + j, 4 * i + i] -= 1.0
-    return sigma
+    diagonal = np.zeros((4, 4))
+    diagonal[[i, j, i, j], [j, i, i, j]] = 1.0
+    block = np.zeros((4, 4))
+    block[np.ix_([i, j], [i, j])] = [[1.0, -1.0], [-1.0, 1.0]]
+    return _ii_operator(diagonal.ravel(), block)
 
 
 def _pair_support_ok(sigma: np.ndarray, i: int, j: int) -> bool:
@@ -81,6 +82,18 @@ def _pair_support_ok(sigma: np.ndarray, i: int, j: int) -> bool:
     if hermitian_eig(sub).values[0] < -EVIDENCE_TOL:
         return False
     return hermitian_eig(partial_transpose(sub, 2, 2)).values[0] >= -EVIDENCE_TOL
+
+
+@cache
+def _pair_terms() -> tuple[tuple[tuple[tuple[int, int], np.ndarray], ...], bool]:
+    """The six read-only pair terms and whether all are PSD and PPT on their supports.
+
+    Neither depends on (a, b, c, d), so both are built and checked once.
+    """
+    pairs = tuple(((i, j), _pair_term(i, j)) for i, j in combinations(range(4), 2))
+    for _, sigma in pairs:
+        sigma.flags.writeable = False
+    return pairs, all(_pair_support_ok(sigma, i, j) for (i, j), sigma in pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,20 +127,9 @@ def spa_decompose(params: WitnessParams) -> SpaResult:
     mixed = spa_mix(w, p_star)
     slacks = spa3_check(params)
 
-    pairs = []
-    total = np.zeros((16, 16), dtype=complex)
-    pairs_ok = True
-    for i in range(4):
-        for j in range(i + 1, 4):
-            sigma = _pair_term(i, j)
-            pairs.append(((i, j), sigma))
-            total += sigma
-            pairs_ok = pairs_ok and _pair_support_ok(sigma, i, j)
-    diag = np.zeros((16, 16), dtype=complex)
-    for i in range(4):
-        for s in range(1, 4):
-            diag[4 * i + (i + s) % 4, 4 * i + (i + s) % 4] += slacks[s - 1]
-    total += diag
+    pairs, pairs_ok = _pair_terms()
+    diag = _ii_operator(_circulant([0.0, *slacks]).ravel(), np.zeros((4, 4)))
+    total = sum(sigma for _, sigma in pairs) + diag
 
     norm = 1.0 / (4.0 * (15.0 - 4.0 * a))
     error = float(np.max(np.abs(mixed - norm * total)))
@@ -135,7 +137,7 @@ def spa_decompose(params: WitnessParams) -> SpaResult:
         params=params,
         p_star=float(p_star),
         mixed_operator=mixed,
-        sigma_pairs=tuple(pairs),
+        sigma_pairs=pairs,
         sigma_diag=diag,
         normalization=norm,
         slacks=slacks,

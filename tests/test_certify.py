@@ -62,6 +62,10 @@ def test_certify_special_point_one():
     assert cert.epsilon == pytest.approx(0.5)
     assert cert.pairing_value == pytest.approx(-2.0, abs=1e-12)
     assert_allclose(cert.epsilon_interval, (0.0, 1.0), atol=1e-14)
+    # the certificate keeps the probe it paired with
+    assert cert.probe.epsilon == cert.epsilon
+    assert np.array_equal(cert.probe.state, probe_state(cert.epsilon).state)
+    assert cert.pairing_value == pairing(witness_from_params(cert.params), cert.probe)
 
 
 def test_certify_zero_b_scans():

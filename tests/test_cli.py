@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ewcones import __version__
+from ewcones import __version__, certify
 from ewcones.cli import main, matrix_from_pairs, matrix_to_pairs
 from ewcones.family import abcd_from_euler
+from ewcones.linalg import hermitian_eig
 from ewcones.maps import max_entangled_projector
 
 
@@ -92,6 +93,64 @@ def test_classify_validation_error(capsys):
     assert code == 3
     assert rec["error"]["kind"] == "validation"
     assert "residual" in rec["error"]["message"]
+
+
+def test_non_finite_params_are_validation_errors(capsys):
+    for argv in (["--params", "nan", "1", "1", "0"], ["--params", "1,1,1,inf"],
+                 ["--euler", "nan,0,0"]):
+        code, rec = run(capsys, ["classify", *argv])
+        assert code == 3
+        assert rec["error"]["kind"] == "validation"
+        assert "finite" in rec["error"]["message"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_tol_must_be_finite_and_positive(capsys, tol):
+    for command in ("classify", "spa"):
+        code, rec = run(capsys, [command, "--params", "1,1,1,0", f"--tol={tol}"])
+        assert code == 2
+        assert rec["error"]["kind"] == "usage" and "--tol" in rec["error"]["message"]
+
+
+def strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_records_are_strict_json(capsys, monkeypatch, tmp_path):
+    code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--restarts", "0"])
+    assert code == 2
+    assert rec["error"]["kind"] == "usage" and "--restarts" in rec["error"]["message"]
+    # a record holding a non-finite number becomes a validation error record
+    monkeypatch.setattr("ewcones.cli.block_positivity_min", lambda *a, **k: math.inf)
+    code = main(["classify", "--params", "1,1,1,0", "--restarts", "2"])
+    rec = strict_loads(capsys.readouterr().out)
+    assert code == 3 and rec["error"]["kind"] == "validation"
+    monkeypatch.setattr("ewcones.cli.sample_cloud", lambda cone, res: [(math.nan, 1.0, 1.0)])
+    out = tmp_path / "cloud.json"
+    code = main(["geometry", "--cone", "I", "--resolution", "2", "--out", str(out)])
+    rec = strict_loads(capsys.readouterr().out)
+    assert code == 3 and rec["error"]["kind"] == "validation"
+    assert not out.exists()
+
+
+def test_classify_serializes_the_certificate_probe(capsys, monkeypatch):
+    calls = []
+
+    def counting_eig(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return hermitian_eig(m, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "hermitian_eig", counting_eig)
+    code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--restarts", "2"])
+    assert code == 0
+    # the probe and its partial transpose are checked once, by the certificate
+    assert calls == [(16, 16), (16, 16)]
+    cert = rec["outputs"]["certificate"]
+    monkeypatch.undo()
+    assert cert["probe_matrix"] == matrix_to_pairs(certify.probe_state(cert["epsilon"]).state)
 
 
 def test_usage_errors():

@@ -29,6 +29,9 @@ def random_angles(rng):
 
 def test_params_validate():
     WitnessParams(1.5, 0.5, 0.5, 0.5).validate()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            WitnessParams(bad, 1.0, 1.0, 0.0).validate()
     with pytest.raises(ValueError, match="sum"):
         WitnessParams(1.0, 1.0, 1.0, 1.0).validate()
     with pytest.raises(ValueError, match="negative"):

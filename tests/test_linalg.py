@@ -65,6 +65,15 @@ def test_hermitian_eig_sorted_and_real_input():
     assert_allclose(res.values, np.linalg.eigvalsh(m), atol=1e-11)
 
 
+def test_hermitian_eig_signals_unconverged_sweeps():
+    m = random_hermitian(np.random.default_rng(7), 16)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        hermitian_eig(m, max_sweeps=1)
+    # a ValueError, so the command line reports it as a validation failure
+    assert issubclass(np.linalg.LinAlgError, ValueError)
+    assert_allclose(hermitian_eig(m).values, np.linalg.eigvalsh(m), atol=1e-11)
+
+
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
