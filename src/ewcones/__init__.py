@@ -9,141 +9,16 @@ separable critical noise mixture. A three-dimensional analogue is included.
 """
 __version__ = "0.1.0"
 
-from .certify import (
-    Certificate,
-    PptProbe,
-    block_positivity_min,
-    certify_decomposability,
-    detect,
-    pairing,
-    probe_state,
-)
-from .cones import (
-    AXIS_DIRECTION,
-    AXIS_POINT,
-    VERTEX_ONE,
-    VERTEX_TWO,
-    ConeReport,
-    SpecialPoint,
-    bd_curve,
-    cone_residuals,
-    ellipse_point,
-    product_relations,
-    sample_cloud,
-    special_points,
-)
-from .errata import ERRATA, Erratum, errata_ids
-from .family import (
-    N3Params,
-    WitnessParams,
-    abcd_from_euler,
-    appendix_entries,
-    appendix_matrix,
-    n3_abc,
-    params_from_witness,
-    witness_from_params,
-)
-from .gellmann import GellMannBasis, basis_index, build_basis, diag_expectations, expand
-from .linalg import (
-    EigenResult,
-    dagger,
-    frobenius_inner,
-    frobenius_norm,
-    hermitian_eig,
-    is_hermitian,
-    is_psd,
-    kron,
-    partial_transpose,
-)
-from .maps import (
-    KossakowskiMap,
-    OrthogonalEmbedding,
-    WeylSet,
-    Witness,
-    build_weyl_set,
-    build_witness,
-    choi_witness,
-    embedding_from_block,
-    embedding_from_euler,
-    euler_rotation,
-    map_from_embedding,
-    max_entangled_projector,
-    phi_matrix,
-    twirl,
-)
-from .spa import (
-    SpaResult,
-    critical_p,
-    critical_p_from_a,
-    spa3_check,
-    spa_decompose,
-    spa_mix,
-)
+# The public API is each module's __all__; the package re-exports all of them.
+from . import certify, cones, errata, family, gellmann, linalg, maps, spa
+from .certify import *  # noqa: F403
+from .cones import *  # noqa: F403
+from .errata import *  # noqa: F403
+from .family import *  # noqa: F403
+from .gellmann import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .maps import *  # noqa: F403
+from .spa import *  # noqa: F403
 
-__all__ = [
-    "AXIS_DIRECTION",
-    "AXIS_POINT",
-    "Certificate",
-    "ConeReport",
-    "ERRATA",
-    "EigenResult",
-    "Erratum",
-    "GellMannBasis",
-    "KossakowskiMap",
-    "N3Params",
-    "OrthogonalEmbedding",
-    "PptProbe",
-    "SpaResult",
-    "SpecialPoint",
-    "VERTEX_ONE",
-    "VERTEX_TWO",
-    "WeylSet",
-    "Witness",
-    "WitnessParams",
-    "__version__",
-    "abcd_from_euler",
-    "appendix_entries",
-    "appendix_matrix",
-    "basis_index",
-    "bd_curve",
-    "block_positivity_min",
-    "build_basis",
-    "build_weyl_set",
-    "build_witness",
-    "certify_decomposability",
-    "choi_witness",
-    "cone_residuals",
-    "critical_p",
-    "critical_p_from_a",
-    "dagger",
-    "detect",
-    "diag_expectations",
-    "ellipse_point",
-    "embedding_from_block",
-    "embedding_from_euler",
-    "errata_ids",
-    "euler_rotation",
-    "expand",
-    "frobenius_inner",
-    "frobenius_norm",
-    "hermitian_eig",
-    "is_hermitian",
-    "is_psd",
-    "kron",
-    "map_from_embedding",
-    "max_entangled_projector",
-    "n3_abc",
-    "pairing",
-    "params_from_witness",
-    "partial_transpose",
-    "phi_matrix",
-    "probe_state",
-    "product_relations",
-    "sample_cloud",
-    "spa3_check",
-    "spa_decompose",
-    "spa_mix",
-    "special_points",
-    "twirl",
-    "witness_from_params",
-]
+_MODULES = (certify, cones, errata, family, gellmann, linalg, maps, spa)
+__all__ = sorted(["__version__", *(name for m in _MODULES for name in m.__all__)])

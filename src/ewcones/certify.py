@@ -29,6 +29,8 @@ __all__ = [
 
 DECISION_TOL = 1e-9
 EVIDENCE_TOL = 1e-10
+SEESAW_MAX_ITER = 500
+SEESAW_FTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +97,8 @@ def _choose_epsilon(b: float, d: float) -> tuple[float, tuple[float, float]]:
         # d = 0: midpoint of the violation interval
         eps = (b + d) / (2.0 * b)
     else:
-        # b = 0: any eps > 1 violates; scan powers of two for the best
-        grid = [2.0**k for k in range(-20, 21)]
-        eps = min(grid, key=lambda e: d / e + b * e - (b + d))
+        # b = 0: every eps > 1 violates and the pairing 4 (d / eps - d) falls as eps grows
+        eps = 2.0**20
     if b > 0:
         gap = abs(b - d)
         interval = ((b + d - gap) / (2.0 * b), (b + d + gap) / (2.0 * b))
@@ -175,13 +176,7 @@ def _contract_right(w4: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.einsum("k,ikjl,l->ij", phi.conj(), w4, phi)
 
 
-def block_positivity_min(
-    w: Witness,
-    restarts: int = 64,
-    seed: int = 0,
-    max_iter: int = 500,
-    ftol: float = 1e-12,
-) -> float:
+def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float:
     """See-saw lower estimate of min <psi x phi| W |psi x phi>.
 
     Alternates exact minimization over each tensor factor (bottom eigenvector
@@ -197,7 +192,7 @@ def block_positivity_min(
         psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         psi /= np.linalg.norm(psi)
         value = math.inf
-        for _ in range(max_iter):
+        for _ in range(SEESAW_MAX_ITER):
             m = _contract_left(w4, psi)
             # LAPACK here: heuristic search only, certificates use hermitian_eig
             vals, vecs = np.linalg.eigh(m)
@@ -206,7 +201,7 @@ def block_positivity_min(
             vals, vecs = np.linalg.eigh(m)
             psi = vecs[:, 0]
             new_value = float(vals[0])
-            if value - new_value < ftol:
+            if value - new_value < SEESAW_FTOL:
                 value = min(value, new_value)
                 break
             value = new_value

@@ -33,8 +33,11 @@ MEMBERSHIP_TOL = 1e-9
 
 VERTEX_ONE = np.array([0.5, 1.0, 0.5])
 VERTEX_TWO = np.array([1.0, 0.5, 1.0])
-AXIS_POINT = np.array([0.5, 1.0, 0.5])
+AXIS_POINT = VERTEX_ONE
 AXIS_DIRECTION = np.array([1.0, -1.0, 1.0])
+for _point in (VERTEX_ONE, VERTEX_TWO, AXIS_DIRECTION):
+    # shared by every caller (AXIS_POINT is VERTEX_ONE), so a write must not leak
+    _point.flags.writeable = False
 
 _CONE_NAMES = ("I", "II")
 
@@ -136,7 +139,7 @@ def special_points() -> tuple[SpecialPoint, ...]:
     )
 
 
-def _base_circle(cone: str, s: float) -> np.ndarray:
+def _base_circle(cone: str, s: np.ndarray) -> np.ndarray:
     # boundary circles: cone I in b+d=2, cone II in b+d=1, radius 1/2
     if cone == "I":
         d = 1.0 + 0.5 * np.cos(s)
@@ -146,7 +149,7 @@ def _base_circle(cone: str, s: float) -> np.ndarray:
         c = 1.0 + 0.5 * np.cos(s)
         d = 0.5 + 0.5 * np.sin(s)
         b = 1.0 - d
-    return np.array([b, c, d])
+    return np.stack([b, c, d], axis=-1)
 
 
 def sample_cloud(cone: str, resolution: int) -> np.ndarray:
@@ -161,14 +164,10 @@ def sample_cloud(cone: str, resolution: int) -> np.ndarray:
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     vertex = VERTEX_ONE if cone == "I" else VERTEX_TWO
-    rows = [vertex]
     fractions = np.linspace(0.0, 1.0, resolution)[1:]
-    for k in range(resolution):
-        s = 2.0 * np.pi * k / resolution
-        base = _base_circle(cone, s)
-        for u in fractions:
-            rows.append(vertex + u * (base - vertex))
-    return np.array(rows)
+    base = _base_circle(cone, 2.0 * np.pi * np.arange(resolution) / resolution)
+    rows = vertex + fractions[None, :, None] * (base - vertex)[:, None, :]
+    return np.concatenate([vertex[None, :], rows.reshape(-1, 3)])
 
 
 def bd_curve(cone: str, samples: int = 51) -> list[WitnessParams]:

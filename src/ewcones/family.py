@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Witness, _circulant, _ii_operator
+from .maps import Witness, _circulant, _ii_operator, _require_finite_angles
 
 __all__ = [
     "N3Params",
@@ -29,6 +29,7 @@ __all__ = [
 
 PARAM_SUM_TOL = 1e-10
 PARAM_NEG_TOL = 1e-10
+CIRCULANT_TOL = 1e-10
 
 _S2 = np.sqrt(2.0)
 _S3 = np.sqrt(3.0)
@@ -48,19 +49,19 @@ class WitnessParams:
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d])
 
-    def validate(self, sum_tol: float = PARAM_SUM_TOL, neg_tol: float = PARAM_NEG_TOL):
+    def validate(self):
         """Raise ValueError when a parameter is non-finite or breaks the sum or sign rules."""
         if not np.all(np.isfinite(self.as_array())):
             raise ValueError(f"parameters must be finite, got {self.as_array().tolist()}")
         residual = self.a + self.b + self.c + self.d - 3.0
-        if abs(residual) > sum_tol:
+        if abs(residual) > PARAM_SUM_TOL:
             raise ValueError(
                 f"parameters must sum to 3, residual {residual:.3e}"
             )
         for name, value in zip("abcd", self.as_array()):
-            if value < -neg_tol:
+            if value < -PARAM_NEG_TOL:
                 raise ValueError(f"parameter {name} = {value:.3e} is negative")
-            if value > 3.0 + neg_tol:
+            if value > 3.0 + PARAM_NEG_TOL:
                 raise ValueError(f"parameter {name} = {value:.3e} exceeds 3")
 
 
@@ -70,60 +71,39 @@ def abcd_from_euler(
     """Closed-form circulant parameters of the twirled witness.
 
     The improper forms are the proper ones reflected through 3/4 entrywise,
-    as negating the block negates every block contraction.
+    as negating the block negates every block contraction; the sign s carries
+    that reflection term by term, so both parities share one formula.
     """
     if parity not in ("proper", "improper"):
         raise ValueError(f"parity must be 'proper' or 'improper', got {parity!r}")
+    _require_finite_angles(alpha, beta, gamma)
+    s = 1.0 if parity == "proper" else -1.0
     sa, ca = np.sin(alpha), np.cos(alpha)
     sb, cb = np.sin(beta), np.cos(beta)
     sg, cg = np.sin(gamma), np.cos(gamma)
     shared = (sa * sg - ca * cb * cg - 3 * ca * cg + 3 * cb * sa * sg - 2 * cb) / 6.0
-    if parity == "proper":
-        a = (3 + np.cos(alpha + gamma) * (1 + cb) + cb) / 4.0
-        b = (
-            3
-            + shared
-            + (3 * cg * sa + 3 * ca * cb * sg + cb * cg * sa + ca * sg) / (2 * _S3)
-            + (2 / (3 * _S2)) * sb * (2 * cg + ca)
-            - (2 / _S6) * sa * sb
-        ) / 4.0
-        c = (
-            3
-            - (2 * ca * cb * cg - 2 * sa * sg + cb) / 3.0
-            - (2 / (3 * _S2)) * sb * (cg - ca)
-            + (2 / _S6) * sb * (sg + sa)
-            - (cg * sa + ca * cb * sg - cb * cg * sa - ca * sg) / _S3
-        ) / 4.0
-        d = (
-            3
-            + shared
-            - (3 * cb * cg * sa + 3 * ca * sg + cg * sa + ca * cb * sg) / (2 * _S3)
-            - (2 / (3 * _S2)) * sb * (cg + 2 * ca)
-            - (2 / _S6) * sg * sb
-        ) / 4.0
-    else:
-        a = (3 - np.cos(alpha + gamma) * (1 + cb) - cb) / 4.0
-        b = (
-            3
-            - shared
-            - (3 * cg * sa + 3 * ca * cb * sg + cb * cg * sa + ca * sg) / (2 * _S3)
-            - (2 / (3 * _S2)) * sb * (2 * cg + ca)
-            + (2 / _S6) * sa * sb
-        ) / 4.0
-        c = (
-            3
-            + (2 * ca * cb * cg - 2 * sa * sg + cb) / 3.0
-            + (2 / (3 * _S2)) * sb * (cg - ca)
-            - (2 / _S6) * sb * (sg + sa)
-            + (cg * sa + ca * cb * sg - cb * cg * sa - ca * sg) / _S3
-        ) / 4.0
-        d = (
-            3
-            - shared
-            + (3 * cb * cg * sa + 3 * ca * sg + cg * sa + ca * cb * sg) / (2 * _S3)
-            + (2 / (3 * _S2)) * sb * (cg + 2 * ca)
-            + (2 / _S6) * sg * sb
-        ) / 4.0
+    a = (3 + s * (np.cos(alpha + gamma) * (1 + cb)) + s * cb) / 4.0
+    b = (
+        3
+        + s * shared
+        + s * ((3 * cg * sa + 3 * ca * cb * sg + cb * cg * sa + ca * sg) / (2 * _S3))
+        + s * ((2 / (3 * _S2)) * sb * (2 * cg + ca))
+        - s * ((2 / _S6) * sa * sb)
+    ) / 4.0
+    c = (
+        3
+        - s * ((2 * ca * cb * cg - 2 * sa * sg + cb) / 3.0)
+        - s * ((2 / (3 * _S2)) * sb * (cg - ca))
+        + s * ((2 / _S6) * sb * (sg + sa))
+        - s * ((cg * sa + ca * cb * sg - cb * cg * sa - ca * sg) / _S3)
+    ) / 4.0
+    d = (
+        3
+        + s * shared
+        - s * ((3 * cb * cg * sa + 3 * ca * sg + cg * sa + ca * cb * sg) / (2 * _S3))
+        - s * ((2 / (3 * _S2)) * sb * (cg + 2 * ca))
+        - s * ((2 / _S6) * sg * sb)
+    ) / 4.0
     provenance = {
         "kind": "euler",
         "alpha": float(alpha),
@@ -214,11 +194,11 @@ def witness_from_params(params: WitnessParams) -> Witness:
     return Witness(n=4, operator=_ii_operator(_circulant(params.as_array()).ravel(), block))
 
 
-def params_from_witness(w: Witness, tol: float = 1e-10) -> WitnessParams:
+def params_from_witness(w: Witness) -> WitnessParams:
     """Read (a, b, c, d) back from a circulant witness.
 
     Averages the cyclic diagonals of the diagonal blocks and checks that the
-    witness actually has the circulant block structure within tol.
+    witness actually has the circulant block structure within CIRCULANT_TOL.
     """
     if w.n != 4:
         raise ValueError(f"parameter extraction is defined for n=4, got n={w.n}")
@@ -227,8 +207,10 @@ def params_from_witness(w: Witness, tol: float = 1e-10) -> WitnessParams:
     vals = np.array([np.mean([diag[i, (i + s) % 4] for i in range(4)]) for s in range(4)])
     rebuilt = witness_from_params(WitnessParams(*map(float, vals)))
     dev = float(np.max(np.abs(op - rebuilt.operator)))
-    if dev > tol:
-        raise ValueError(f"witness is not circulant within {tol:.1e}: deviation {dev:.3e}")
+    if dev > CIRCULANT_TOL:
+        raise ValueError(
+            f"witness is not circulant within {CIRCULANT_TOL:.1e}: deviation {dev:.3e}"
+        )
     return WitnessParams(*map(float, vals), provenance={"kind": "extracted"})
 
 

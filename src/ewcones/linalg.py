@@ -26,6 +26,7 @@ __all__ = [
 HERMITIAN_TOL = 1e-12
 JACOBI_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
+PSD_TOL = 1e-9
 
 
 class EigenResult(NamedTuple):
@@ -62,6 +63,8 @@ def _require_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
     dev = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e}")
@@ -136,10 +139,10 @@ def hermitian_eig(
     return EigenResult(values[order].copy(), v[:, order].copy())
 
 
-def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when the smallest eigenvalue is at least -tol."""
+def is_psd(m: np.ndarray) -> bool:
+    """True when the smallest eigenvalue is at least -PSD_TOL."""
     values, _ = hermitian_eig(m)
-    return bool(values[0] >= -tol)
+    return bool(values[0] >= -PSD_TOL)
 
 
 def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -9,6 +9,7 @@ the stochastic matrix to its circulant average.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -35,6 +36,12 @@ __all__ = [
 ]
 
 ORTHOGONALITY_TOL = 1e-12
+
+
+def _require_finite_angles(*angles: float) -> None:
+    # checked before any trigonometry, which would only warn and return NaN
+    if not all(map(math.isfinite, angles)):
+        raise ValueError(f"Euler angles must be finite, got {[float(x) for x in angles]}")
 
 
 def euler_rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -96,6 +103,7 @@ def embedding_from_euler(
         raise ValueError("Euler angles parameterize the 3 x 3 block, so n must be 4")
     if parity not in ("proper", "improper"):
         raise ValueError(f"parity must be 'proper' or 'improper', got {parity!r}")
+    _require_finite_angles(alpha, beta, gamma)
     block = euler_rotation(alpha, beta, gamma)
     if parity == "improper":
         block = -block
@@ -110,21 +118,19 @@ class KossakowskiMap:
     rotation: np.ndarray
     basis: GellMannBasis = field(repr=False)
 
+    def _rotate(self, x: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+        coeffs = expand(x, self.basis)[1:]
+        out = np.eye(self.n, dtype=complex) * (np.trace(x) / self.n)
+        out += np.einsum("a,aij->ij", rotation @ coeffs, self.basis.elements[1:]) / (self.n - 1)
+        return out
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Image of x: identity part plus the rotated traceless expansion."""
-        coeffs = expand(x, self.basis)[1:]
-        rotated = self.rotation @ coeffs
-        out = np.eye(self.n, dtype=complex) * (np.trace(x) / self.n)
-        out += np.einsum("a,aij->ij", rotated, self.basis.elements[1:]) / (self.n - 1)
-        return out
+        return self._rotate(x, self.rotation)
 
     def apply_dual(self, y: np.ndarray) -> np.ndarray:
         """Image under the trace-pairing dual, which rotates by the transpose."""
-        coeffs = expand(y, self.basis)[1:]
-        rotated = self.rotation.T @ coeffs
-        out = np.eye(self.n, dtype=complex) * (np.trace(y) / self.n)
-        out += np.einsum("a,aij->ij", rotated, self.basis.elements[1:]) / (self.n - 1)
-        return out
+        return self._rotate(y, self.rotation.T)
 
     __call__ = apply
 
@@ -137,11 +143,7 @@ def map_from_embedding(emb: OrthogonalEmbedding) -> KossakowskiMap:
     block therefore enters transposed here so both routes agree for every
     embedding, not only symmetric blocks.
     """
-    n = emb.n
-    dim = n * n - 1
-    r = -np.eye(dim)
-    r[: n - 1, : n - 1] = emb.block.T
-    return KossakowskiMap(n=n, rotation=r, basis=build_basis(n))
+    return KossakowskiMap(n=emb.n, rotation=emb.rotation().T, basis=build_basis(emb.n))
 
 
 @cache

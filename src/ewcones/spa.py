@@ -12,6 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .certify import EVIDENCE_TOL
 from .family import WitnessParams, witness_from_params
 from .linalg import hermitian_eig, partial_transpose
 from .maps import Witness, _circulant, _ii_operator
@@ -24,8 +25,6 @@ __all__ = [
     "spa_decompose",
     "spa_mix",
 ]
-
-EVIDENCE_TOL = 1e-10
 
 
 def spa_mix(w: Witness, p: float) -> np.ndarray:

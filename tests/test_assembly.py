@@ -3,14 +3,23 @@
 The package assembles each operator from its main diagonal and its block on
 span{|ii>}. The reference implementations below build the same operators
 the long way, as sums of Kronecker products of matrix units, and the
-assembled arrays must match them bit for bit.
+assembled arrays must match them bit for bit. The same holds for the closed
+Euler forms, written out once per parity, and for the sample clouds, built
+row by row.
 """
 import numpy as np
 import pytest
 
 from ewcones import maps, spa
 from ewcones.certify import _decomposition_parts, probe_state
-from ewcones.cones import bd_curve
+from ewcones.cones import (
+    AXIS_DIRECTION,
+    AXIS_POINT,
+    VERTEX_ONE,
+    VERTEX_TWO,
+    bd_curve,
+    sample_cloud,
+)
 from ewcones.family import WitnessParams, abcd_from_euler, witness_from_params
 from ewcones.gellmann import build_basis, diag_expectations
 from ewcones.maps import build_weyl_set, build_witness, embedding_from_euler, twirl
@@ -98,6 +107,83 @@ def ref_sigma_diag(slacks):
     return diag
 
 
+S2, S3, S6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
+
+
+def ref_abcd_from_euler(alpha, beta, gamma, parity):
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    sb, cb = np.sin(beta), np.cos(beta)
+    sg, cg = np.sin(gamma), np.cos(gamma)
+    shared = (sa * sg - ca * cb * cg - 3 * ca * cg + 3 * cb * sa * sg - 2 * cb) / 6.0
+    if parity == "proper":
+        a = (3 + np.cos(alpha + gamma) * (1 + cb) + cb) / 4.0
+        b = (
+            3
+            + shared
+            + (3 * cg * sa + 3 * ca * cb * sg + cb * cg * sa + ca * sg) / (2 * S3)
+            + (2 / (3 * S2)) * sb * (2 * cg + ca)
+            - (2 / S6) * sa * sb
+        ) / 4.0
+        c = (
+            3
+            - (2 * ca * cb * cg - 2 * sa * sg + cb) / 3.0
+            - (2 / (3 * S2)) * sb * (cg - ca)
+            + (2 / S6) * sb * (sg + sa)
+            - (cg * sa + ca * cb * sg - cb * cg * sa - ca * sg) / S3
+        ) / 4.0
+        d = (
+            3
+            + shared
+            - (3 * cb * cg * sa + 3 * ca * sg + cg * sa + ca * cb * sg) / (2 * S3)
+            - (2 / (3 * S2)) * sb * (cg + 2 * ca)
+            - (2 / S6) * sg * sb
+        ) / 4.0
+    else:
+        a = (3 - np.cos(alpha + gamma) * (1 + cb) - cb) / 4.0
+        b = (
+            3
+            - shared
+            - (3 * cg * sa + 3 * ca * cb * sg + cb * cg * sa + ca * sg) / (2 * S3)
+            - (2 / (3 * S2)) * sb * (2 * cg + ca)
+            + (2 / S6) * sa * sb
+        ) / 4.0
+        c = (
+            3
+            + (2 * ca * cb * cg - 2 * sa * sg + cb) / 3.0
+            + (2 / (3 * S2)) * sb * (cg - ca)
+            - (2 / S6) * sb * (sg + sa)
+            + (cg * sa + ca * cb * sg - cb * cg * sa - ca * sg) / S3
+        ) / 4.0
+        d = (
+            3
+            - shared
+            + (3 * cb * cg * sa + 3 * ca * sg + cg * sa + ca * cb * sg) / (2 * S3)
+            + (2 / (3 * S2)) * sb * (cg + 2 * ca)
+            + (2 / S6) * sg * sb
+        ) / 4.0
+    return np.array([float(a), float(b), float(c), float(d)])
+
+
+def ref_sample_cloud(cone, resolution):
+    vertex = VERTEX_ONE if cone == "I" else VERTEX_TWO
+    rows = [vertex]
+    fractions = np.linspace(0.0, 1.0, resolution)[1:]
+    for k in range(resolution):
+        s = 2.0 * np.pi * k / resolution
+        if cone == "I":
+            d = 1.0 + 0.5 * np.cos(s)
+            c = 0.5 + 0.5 * np.sin(s)
+            b = 2.0 - d
+        else:
+            c = 1.0 + 0.5 * np.cos(s)
+            d = 0.5 + 0.5 * np.sin(s)
+            b = 1.0 - d
+        base = np.array([b, c, d])
+        for u in fractions:
+            rows.append(vertex + u * (base - vertex))
+    return np.array(rows)
+
+
 def ref_twirl(op):
     out = np.zeros_like(op)
     for v in build_weyl_set(4).vectors:
@@ -166,6 +252,22 @@ def test_twirl_matches_projector_loop():
         np.testing.assert_allclose(twirl(w).operator, ref_twirl(w.operator), rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("parity", ["proper", "improper"])
+def test_abcd_from_euler_matches_two_branch_forms(parity):
+    rng = np.random.default_rng(74)
+    angles = [tuple(rng.uniform(-4 * np.pi, 4 * np.pi, 3)) for _ in range(500)]
+    angles += [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0, -0.0, -0.0), (np.pi, -0.0, np.pi)]
+    for alpha, beta, gamma in angles:
+        params = abcd_from_euler(alpha, beta, gamma, parity=parity)
+        assert_bitwise(params.as_array(), ref_abcd_from_euler(alpha, beta, gamma, parity))
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 64])
+def test_sample_cloud_matches_row_loop(resolution):
+    for cone in ("I", "II"):
+        assert_bitwise(sample_cloud(cone, resolution), ref_sample_cloud(cone, resolution))
+
+
 def test_cached_constants_are_read_only():
     res = spa.spa_decompose(WitnessParams(1.0, 1.0, 1.0, 0.0))
     for _, sigma in res.sigma_pairs:
@@ -176,6 +278,9 @@ def test_cached_constants_are_read_only():
         weyl.vectors[0, 0] = 5.0
     with pytest.raises(ValueError):
         maps._diag_table(4)[0, 0] = 5.0
+    for point in (AXIS_POINT, VERTEX_ONE, VERTEX_TWO, AXIS_DIRECTION):
+        with pytest.raises(ValueError):
+            point[0] = 5.0
 
 
 def test_spa_results_do_not_share_mutable_state():

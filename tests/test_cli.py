@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ewcones import __version__, certify
 from ewcones.cli import main, matrix_from_pairs, matrix_to_pairs
 from ewcones.family import abcd_from_euler
 from ewcones.linalg import hermitian_eig
-from ewcones.maps import max_entangled_projector
+from ewcones.maps import embedding_from_euler, max_entangled_projector
 
 
 def run(capsys, argv):
@@ -96,12 +97,21 @@ def test_classify_validation_error(capsys):
 
 
 def test_non_finite_params_are_validation_errors(capsys):
-    for argv in (["--params", "nan", "1", "1", "0"], ["--params", "1,1,1,inf"],
-                 ["--euler", "nan,0,0"]):
-        code, rec = run(capsys, ["classify", *argv])
-        assert code == 3
-        assert rec["error"]["kind"] == "validation"
-        assert "finite" in rec["error"]["message"]
+    with warnings.catch_warnings():
+        # non-finite angles are rejected before any trigonometry can warn
+        warnings.simplefilter("error")
+        for argv in (["--params", "nan", "1", "1", "0"], ["--params", "1,1,1,inf"],
+                     ["--euler", "nan,0,0"], ["--euler", "inf,0,0"],
+                     ["--euler", "0,-inf,0", "--parity", "improper"]):
+            code, rec = run(capsys, ["classify", *argv])
+            assert code == 3
+            assert rec["error"]["kind"] == "validation"
+            assert "finite" in rec["error"]["message"]
+        for angles in ((math.inf, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                abcd_from_euler(*angles, parity="improper")
+            with pytest.raises(ValueError, match="finite"):
+                embedding_from_euler(*angles)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])

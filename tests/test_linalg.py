@@ -77,6 +77,11 @@ def test_hermitian_eig_signals_unconverged_sweeps():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(4)
+        m[3, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_eig(m)
 
 
 def test_is_psd():
@@ -84,6 +89,9 @@ def test_is_psd():
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert is_psd(a @ a.conj().T)
     assert not is_psd(np.diag([1.0, -0.1]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            is_psd(np.diag([1.0, 1.0, 1.0, bad]))
 
 
 def test_partial_transpose_on_products():
