@@ -168,14 +168,6 @@ def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) ->
     )
 
 
-def _contract_left(w4: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return np.einsum("i,ikjl,j->kl", psi.conj(), w4, psi)
-
-
-def _contract_right(w4: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    return np.einsum("k,ikjl,l->ij", phi.conj(), w4, phi)
-
-
 def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float:
     """See-saw lower estimate of min <psi x phi| W |psi x phi>.
 
@@ -183,30 +175,33 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
     of the contracted 4 x 4 matrix) from seeded random product starts. The
     result is numerical evidence of block positivity, not a proof; it never
     increases when restarts grow under the same seed.
+    All restarts run as one batch (memory is O(restarts)); restart r draws its
+    start from the stream [seed, r] and stops on its own rule.
     """
     n = w.n
     w4 = w.operator.reshape(n, n, n, n)
-    best = math.inf
+    psi = np.empty((restarts, n), dtype=complex)
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        psi /= np.linalg.norm(psi)
-        value = math.inf
-        for _ in range(SEESAW_MAX_ITER):
-            m = _contract_left(w4, psi)
-            # LAPACK here: heuristic search only, certificates use hermitian_eig
-            vals, vecs = np.linalg.eigh(m)
-            phi = vecs[:, 0]
-            m = _contract_right(w4, phi)
-            vals, vecs = np.linalg.eigh(m)
-            psi = vecs[:, 0]
-            new_value = float(vals[0])
-            if value - new_value < SEESAW_FTOL:
-                value = min(value, new_value)
-                break
-            value = new_value
-        best = min(best, value)
-    return float(best)
+        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        psi[r] = start / np.linalg.norm(start)
+    value = np.full(restarts, math.inf)
+    active = np.arange(restarts)
+    for _ in range(SEESAW_MAX_ITER):
+        if active.size == 0:
+            break
+        p = psi[active]
+        # LAPACK here: heuristic search only, certificates use hermitian_eig
+        _, vecs = np.linalg.eigh(np.einsum("ri,ikjl,rj->rkl", p.conj(), w4, p))
+        phi = vecs[:, :, 0]
+        vals, vecs = np.linalg.eigh(np.einsum("rk,ikjl,rl->rij", phi.conj(), w4, phi))
+        psi[active] = vecs[:, :, 0]
+        old, new = value[active], vals[:, 0]
+        done = old - new < SEESAW_FTOL
+        # a converged restart keeps min(old, new); ties keep old, as min() does
+        value[active] = np.where(done & (old <= new), old, new)
+        active = active[~done]
+    return float(min(value, default=math.inf))  # first of equal values, as a running min
 
 
 def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
@@ -218,6 +213,8 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != w.operator.shape:
         raise ValueError(f"expected shape {w.operator.shape}, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("state entries must be finite")
     if not is_hermitian(rho, tol):
         raise ValueError("state is not Hermitian")
     low = hermitian_eig(rho).values[0]

@@ -27,6 +27,7 @@ __all__ = ["main", "matrix_from_pairs", "matrix_to_pairs"]
 
 DEFAULT_SEED = 0
 ENV_SEED = "EWCONES_SEED"
+MAX_RESTARTS = 4096
 
 
 class CommandError(Exception):
@@ -192,8 +193,10 @@ def _certificate_payload(cert) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict:
-    if args.restarts < 1:
-        raise CommandError("usage", f"--restarts must be at least 1, got {args.restarts}", 2)
+    if not 1 <= args.restarts <= MAX_RESTARTS:
+        raise CommandError(
+            "usage", f"--restarts must be between 1 and {MAX_RESTARTS}, got {args.restarts}", 2
+        )
     params = _resolve_params(args)
     seed = _resolve_seed(args)
     cert = certify_decomposability(params, tol=args.tol)

@@ -195,3 +195,13 @@ def test_detect_validation():
         detect(w, bad)
     with pytest.raises(ValueError, match="eigenvalue"):
         detect(w, np.diag([1.0] * 15 + [-1.0]))
+
+
+def test_detect_names_non_finite_states():
+    # the finite check runs before the Hermitian check, so NaN is not misnamed
+    w = witness_from_params(WitnessParams(1.5, 0.5, 0.5, 0.5))
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        rho = np.eye(16, dtype=complex) / 16.0
+        rho[2, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            detect(w, rho)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ewcones import __version__, certify
+from ewcones import __version__, certify, cli
 from ewcones.cli import main, matrix_from_pairs, matrix_to_pairs
 from ewcones.family import abcd_from_euler
 from ewcones.linalg import hermitian_eig
@@ -305,3 +305,28 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_detect_non_finite_state_file(capsys, tmp_path):
+    # json.load accepts NaN, so a state file can carry one
+    rho = np.eye(16) / 16.0
+    rho[2, 2] = math.nan
+    state = tmp_path / "nan.json"
+    state.write_text(json.dumps(matrix_to_pairs(rho)))
+    assert "NaN" in state.read_text()
+    code, rec = run(capsys, ["detect", "--params", "1,1,1,0", "--state", str(state)])
+    assert code == 3
+    assert rec["error"]["kind"] == "validation" and "finite" in rec["error"]["message"]
+
+
+@pytest.mark.parametrize("restarts", [cli.MAX_RESTARTS + 1, 10**12])
+def test_restarts_above_bound_are_usage_errors(capsys, monkeypatch, restarts):
+    # rejected before any work: the see-saw and the certificate are never reached
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the --restarts check")
+
+    monkeypatch.setattr(cli, "block_positivity_min", never)
+    monkeypatch.setattr(cli, "certify_decomposability", never)
+    code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--restarts", str(restarts)])
+    assert code == 2
+    assert rec["error"]["kind"] == "usage" and str(cli.MAX_RESTARTS) in rec["error"]["message"]
