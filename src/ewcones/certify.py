@@ -14,7 +14,7 @@ import numpy as np
 
 from .cones import cone_residuals
 from .family import WitnessParams, witness_from_params
-from .linalg import hermitian_eig, is_hermitian, partial_transpose
+from .linalg import dagger, hermitian_eig, is_hermitian, partial_transpose
 from .maps import Witness, _circulant, _ii_operator
 
 __all__ = [
@@ -217,7 +217,9 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
         raise ValueError("state entries must be finite")
     if not is_hermitian(rho, tol):
         raise ValueError("state is not Hermitian")
-    low = hermitian_eig(rho).values[0]
+    # the Hermitian part: the solver's own, tighter check must not reject a
+    # skew that tol accepted (and it equals rho when rho is exactly Hermitian)
+    low = hermitian_eig((rho + dagger(rho)) / 2).values[0]
     if low < -tol:
         raise ValueError(f"state is not positive semidefinite: eigenvalue {low:.6e}")
     return float(np.trace(w.operator @ rho).real)

@@ -28,6 +28,7 @@ __all__ = ["main", "matrix_from_pairs", "matrix_to_pairs"]
 DEFAULT_SEED = 0
 ENV_SEED = "EWCONES_SEED"
 MAX_RESTARTS = 4096
+MAX_RESOLUTION = 512
 
 
 class CommandError(Exception):
@@ -234,6 +235,12 @@ def _geometry_rows(cones: tuple[str, ...], resolution: int) -> list[tuple]:
 
 
 def _cmd_geometry(args: argparse.Namespace) -> dict:
+    if not 2 <= args.resolution <= MAX_RESOLUTION:
+        raise CommandError(
+            "usage",
+            f"--resolution must be between 2 and {MAX_RESOLUTION}, got {args.resolution}",
+            2,
+        )
     cones = ("I", "II") if args.cone == "both" else (args.cone,)
     rows = _geometry_rows(cones, args.resolution)
     counts = dict(sorted(Counter(tag for *_, tag in rows).items()))

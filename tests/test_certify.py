@@ -205,3 +205,15 @@ def test_detect_names_non_finite_states():
         rho[2, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             detect(w, rho)
+
+
+def test_detect_accepts_skew_within_tol():
+    # a skew that passes detect's own Hermitian check reaches the solver as the
+    # Hermitian part, so the solver's tighter check cannot reject it
+    w = witness_from_params(WitnessParams(1.0, 1.0, 1.0, 0.0))
+    rho = np.eye(16, dtype=complex) / 16.0
+    rho[0, 1] = 1e-10
+    assert detect(w, rho) == pytest.approx(float(np.trace(w.operator @ rho).real), abs=1e-15)
+    rho[0, 1] = 1e-8
+    with pytest.raises(ValueError, match="state is not Hermitian"):
+        detect(w, rho)

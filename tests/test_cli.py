@@ -330,3 +330,27 @@ def test_restarts_above_bound_are_usage_errors(capsys, monkeypatch, restarts):
     code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--restarts", str(restarts)])
     assert code == 2
     assert rec["error"]["kind"] == "usage" and str(cli.MAX_RESTARTS) in rec["error"]["message"]
+
+
+@pytest.mark.parametrize("resolution", [-1, 0, 1, cli.MAX_RESOLUTION + 1, 10**6])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_resolution_out_of_range_is_usage_error(capsys, monkeypatch, tmp_path, resolution, fmt):
+    # rejected before any row is built, and no output file is written
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the --resolution check")
+
+    monkeypatch.setattr(cli, "sample_cloud", never)
+    out = tmp_path / f"cloud.{fmt}"
+    code, rec = run(capsys, ["geometry", "--resolution", str(resolution), "--format", fmt, "--out", str(out)])
+    assert code == 2
+    assert rec["error"]["kind"] == "usage" and str(cli.MAX_RESOLUTION) in rec["error"]["message"]
+    assert not out.exists()
+
+
+def test_resolution_bounds_are_accepted(capsys, tmp_path):
+    for resolution in (2, cli.MAX_RESOLUTION):
+        out = tmp_path / f"cloud-{resolution}.csv"
+        code, rec = run(capsys, ["geometry", "--cone", "I", "--resolution", str(resolution),
+                                 "--format", "csv", "--out", str(out)])
+        assert code == 0
+        assert rec["outputs"]["counts"]["I"] == 1 + resolution * (resolution - 1)
