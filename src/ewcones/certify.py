@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import cone_residuals
+from .cones import ConeReport, cone_residuals
 from .family import WitnessParams, witness_from_params
 from .linalg import dagger, hermitian_eig, is_hermitian, partial_transpose
 from .maps import Witness, _circulant, _ii_operator
@@ -71,13 +71,13 @@ class Certificate:
     negative pairing value, and the full interval of violating probe parameters.
     Decomposable certificates carry the split W = P + Q^Gamma, the spectrum
     of the Gram-type matrix controlling P, and the reconstruction error.
+    Both carry the cone membership report, taken at the same tolerance.
     """
 
     verdict: str
     params: WitnessParams
     tolerance: float
-    on_cone: bool
-    warning: str | None = None
+    cones: ConeReport
     epsilon: float | None = None
     pairing_value: float | None = None
     epsilon_interval: tuple[float, float] | None = None
@@ -88,6 +88,21 @@ class Certificate:
     q_psd: bool | None = None
     a_eigenvalues: np.ndarray | None = None
     reconstruction_error: float | None = None
+
+    @property
+    def on_cone(self) -> bool:
+        """True when the parameters satisfy either cone equation."""
+        return self.cones.on_cone_one or self.cones.on_cone_two
+
+    @property
+    def warning(self) -> str | None:
+        """Set for points off both cone surfaces, None on them."""
+        if self.on_cone:
+            return None
+        return (
+            "parameters do not satisfy either cone equation; "
+            "verdict applies to the assembled circulant witness"
+        )
 
 
 def _choose_epsilon(b: float, d: float) -> tuple[float, tuple[float, float]]:
@@ -123,14 +138,7 @@ def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) ->
     cone law) but the certificate carries a warning.
     """
     params.validate()
-    report = cone_residuals(params, tol=max(tol, 1e-9))
-    on_cone = report.on_cone_one or report.on_cone_two
-    warning = None
-    if not on_cone:
-        warning = (
-            "parameters do not satisfy either cone equation; "
-            "verdict applies to the assembled circulant witness"
-        )
+    cones = cone_residuals(params, tol=tol)
     a, b, c, d = params.a, params.b, params.c, params.d
     w = witness_from_params(params)
     if abs(b - d) > tol:
@@ -141,8 +149,7 @@ def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) ->
             verdict="indecomposable",
             params=params,
             tolerance=tol,
-            on_cone=on_cone,
-            warning=warning,
+            cones=cones,
             epsilon=eps,
             pairing_value=value,
             epsilon_interval=interval,
@@ -157,8 +164,7 @@ def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) ->
         verdict="decomposable",
         params=params,
         tolerance=tol,
-        on_cone=on_cone,
-        warning=warning,
+        cones=cones,
         p_op=p,
         q_op=q,
         p_psd=bool(p_low >= -EVIDENCE_TOL),

@@ -14,12 +14,13 @@ import json
 import math
 import os
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__
 from .certify import block_positivity_min, certify_decomposability, detect
-from .cones import bd_curve, cone_residuals, sample_cloud, special_points
+from .cones import ConeReport, bd_curve, sample_cloud, special_points
 from .family import WitnessParams, abcd_from_euler, witness_from_params
 from .spa import spa_decompose
 
@@ -125,20 +126,31 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return DEFAULT_SEED
 
 
-def _run_record(command, inputs, outputs, errata, seed):
-    return {
+def _dumps(record: dict) -> str:
+    # strict JSON: a NaN or infinity raises ValueError instead of printing
+    return json.dumps(record, indent=2, allow_nan=False)
+
+
+def _run_record(command, inputs, outputs, errata, seed) -> str:
+    """The serialized run record: the one text printed and written to --out."""
+    return _dumps({
         "command": command,
         "inputs": inputs,
         "outputs": outputs,
         "errata_applied": list(errata),
         "tool_version": __version__,
         "seed": seed,
-    }
+    })
 
 
-def _dumps(record: dict) -> str:
-    # strict JSON: a NaN or infinity raises ValueError instead of printing
-    return json.dumps(record, indent=2, allow_nan=False)
+@contextmanager
+def _open_out(path: str):
+    """Text file for --out; failing to open or write it is exit 4."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise CommandError("io", f"cannot write {path}: {exc}", 4) from None
 
 
 def _witness_inputs(args: argparse.Namespace) -> dict:
@@ -155,8 +167,8 @@ def _params_payload(params: WitnessParams) -> dict:
     return {"a": params.a, "b": params.b, "c": params.c, "d": params.d}
 
 
-def _cones_payload(params: WitnessParams, tol: float) -> dict:
-    report = cone_residuals(params, tol=tol)
+def _cones_payload(report: ConeReport) -> dict:
+    tol = report.tol
     return {
         "residual_one": report.residual_one,
         "residual_two": report.residual_two,
@@ -193,7 +205,7 @@ def _certificate_payload(cert) -> dict:
     return out
 
 
-def _cmd_classify(args: argparse.Namespace) -> dict:
+def _cmd_classify(args: argparse.Namespace) -> str:
     if not 1 <= args.restarts <= MAX_RESTARTS:
         raise CommandError(
             "usage", f"--restarts must be between 1 and {MAX_RESTARTS}, got {args.restarts}", 2
@@ -206,7 +218,7 @@ def _cmd_classify(args: argparse.Namespace) -> dict:
     outputs = {
         "params": _params_payload(params),
         "provenance": params.provenance,
-        "cones": _cones_payload(params, args.tol),
+        "cones": _cones_payload(cert.cones),
         "certificate": _certificate_payload(cert),
         "block_positivity": {
             "value": value,
@@ -234,13 +246,15 @@ def _geometry_rows(cones: tuple[str, ...], resolution: int) -> list[tuple]:
     return rows
 
 
-def _cmd_geometry(args: argparse.Namespace) -> dict:
+def _cmd_geometry(args: argparse.Namespace) -> str:
     if not 2 <= args.resolution <= MAX_RESOLUTION:
         raise CommandError(
             "usage",
             f"--resolution must be between 2 and {MAX_RESOLUTION}, got {args.resolution}",
             2,
         )
+    if args.format == "csv" and args.out is None:
+        raise CommandError("usage", "--format csv requires --out", 2)
     cones = ("I", "II") if args.cone == "both" else (args.cone,)
     rows = _geometry_rows(cones, args.resolution)
     counts = dict(sorted(Counter(tag for *_, tag in rows).items()))
@@ -251,34 +265,25 @@ def _cmd_geometry(args: argparse.Namespace) -> dict:
         "out": args.out,
     }
     if args.format == "csv":
-        if args.out is None:
-            raise CommandError("usage", "--format csv requires --out", 2)
-        try:
-            with open(args.out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["b", "c", "d", "tag"])
-                for b, c, d, tag in rows:
-                    writer.writerow([repr(b), repr(c), repr(d), tag])
-        except OSError as exc:
-            raise CommandError("io", f"cannot write {args.out}: {exc}", 4) from None
+        with _open_out(args.out) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["b", "c", "d", "tag"])
+            for b, c, d, tag in rows:
+                writer.writerow([repr(b), repr(c), repr(d), tag])
         outputs = {"path": args.out, "rows": len(rows), "counts": counts}
         return _run_record("geometry", inputs, outputs, [], None)
     outputs = {
         "rows": [{"b": b, "c": c, "d": d, "tag": tag} for b, c, d, tag in rows],
         "counts": counts,
     }
-    record = _run_record("geometry", inputs, outputs, [], None)
+    text = _run_record("geometry", inputs, outputs, [], None)
     if args.out is not None:
-        text = _dumps(record)
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CommandError("io", f"cannot write {args.out}: {exc}", 4) from None
-    return record
+        with _open_out(args.out) as fh:
+            fh.write(text)
+    return text
 
 
-def _cmd_spa(args: argparse.Namespace) -> dict:
+def _cmd_spa(args: argparse.Namespace) -> str:
     params = _resolve_params(args)
     result = spa_decompose(params)
     outputs = {
@@ -295,7 +300,7 @@ def _cmd_spa(args: argparse.Namespace) -> dict:
     return _run_record("spa", _witness_inputs(args), outputs, errata, None)
 
 
-def _cmd_detect(args: argparse.Namespace) -> dict:
+def _cmd_detect(args: argparse.Namespace) -> str:
     params = _resolve_params(args)
     try:
         with open(args.state) as fh:
@@ -357,7 +362,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        text = _dumps(args.handler(args))
+        text = args.handler(args)
     except CommandError as exc:
         kind, message, code = exc.kind, str(exc), exc.code
     except ValueError as exc:

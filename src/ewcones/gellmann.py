@@ -15,7 +15,6 @@ from .linalg import frobenius_inner
 
 __all__ = [
     "GellMannBasis",
-    "basis_index",
     "build_basis",
     "diag_expectations",
     "expand",
@@ -40,11 +39,6 @@ class GellMannBasis:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", np.asarray(self.elements))
-        object.__setattr__(
-            self,
-            "_index",
-            {label: i for i, label in enumerate(self.labels)},
-        )
 
 
 def _diagonal_element(n: int, l: int) -> np.ndarray:
@@ -82,17 +76,6 @@ def build_basis(n: int) -> GellMannBasis:
             elements.append(m)
             labels.append(("antisymmetric", k + 1, l + 1))
     return GellMannBasis(n=n, elements=np.array(elements), labels=tuple(labels))
-
-
-def basis_index(basis: GellMannBasis, kind: str, k: int = 0, l: int = 0) -> int:
-    """Flat index of a labeled element; raises KeyError for unknown labels."""
-    if kind == "identity":
-        label: Label = ("identity",)
-    elif kind == "diagonal":
-        label = ("diagonal", k if k else l)
-    else:
-        label = (kind, k, l)
-    return basis._index[label]
 
 
 def expand(x: np.ndarray, basis: GellMannBasis) -> np.ndarray:

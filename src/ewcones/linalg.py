@@ -10,11 +10,11 @@ guarantee carries over).
 """
 from __future__ import annotations
 
+import math
 from functools import cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy import kron
 
 __all__ = [
     "EigenResult",
@@ -23,15 +23,12 @@ __all__ = [
     "frobenius_norm",
     "hermitian_eig",
     "is_hermitian",
-    "is_psd",
-    "kron",
     "partial_transpose",
 ]
 
 HERMITIAN_TOL = 1e-12
 JACOBI_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
-PSD_TOL = 1e-9
 
 
 class EigenResult(NamedTuple):
@@ -117,33 +114,35 @@ def _round_robin(n: int) -> tuple[_Round, ...]:
     return tuple(rounds)
 
 
-def hermitian_eig(
-    m: np.ndarray,
-    tol: float = JACOBI_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> EigenResult:
+def hermitian_eig(m: np.ndarray) -> EigenResult:
     """Diagonalize a Hermitian matrix by Jacobi rotations in round-robin order.
 
     Each sweep visits every index pair once, in the rounds of `_round_robin`:
     a round rotates its n/2 disjoint pairs together, as array operations, by
     two-sided unitary plane rotations that zero each pair's off-diagonal
-    entry. Sweeps run until the off-diagonal Frobenius mass drops below tol
-    times the Frobenius norm of the input. Returns ascending eigenvalues and
-    orthonormal eigenvector columns; raises numpy.linalg.LinAlgError (a
-    ValueError) when max_sweeps sweeps leave the mass above that threshold.
+    entry. Sweeps run until the off-diagonal Frobenius mass drops below
+    JACOBI_TOL times the Frobenius norm of the input. Returns ascending
+    eigenvalues and orthonormal eigenvector columns; raises
+    numpy.linalg.LinAlgError (a ValueError) when JACOBI_MAX_SWEEPS sweeps
+    leave the mass above that threshold.
     """
     a = _require_hermitian(m, HERMITIAN_TOL).copy()
     n = a.shape[0]
     v = np.eye(n, dtype=complex)
     if n <= 1:
         return EigenResult(np.diag(a).real.copy(), v)
+    # scale by the power of two that puts the largest entry in [1/2, 1), so
+    # the norm cannot overflow or underflow; away from subnormals every
+    # rounding step scales exactly with it, so the spectrum is unchanged
+    exponent = math.frexp(float(np.max(np.abs(a))))[1]
+    a = np.ldexp(a.view(float), -exponent).view(complex)
     scale = frobenius_norm(a)
     if scale == 0.0:
         return EigenResult(np.zeros(n), v)
-    threshold = tol * scale
+    threshold = JACOBI_TOL * scale
     # negligibility cutoff per element; rotations below it cannot move the mass
     tiny = 1e-300
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         if _off_diagonal_mass(a) <= threshold:
             break
         for p, q, partner, pq, qp in _round_robin(n):
@@ -185,16 +184,10 @@ def hermitian_eig(
             flat[qp] = 0.0
             flat[:: n + 1] = d
     if _off_diagonal_mass(a) > threshold:
-        raise np.linalg.LinAlgError(f"Jacobi did not converge in {max_sweeps} sweeps")
-    values = np.diag(a).real
+        raise np.linalg.LinAlgError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+    values = np.ldexp(np.diag(a).real, exponent)
     order = np.argsort(values, kind="stable")
     return EigenResult(values[order].copy(), v[:, order].copy())
-
-
-def is_psd(m: np.ndarray) -> bool:
-    """True when the smallest eigenvalue is at least -PSD_TOL."""
-    values, _ = hermitian_eig(m)
-    return bool(values[0] >= -PSD_TOL)
 
 
 def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

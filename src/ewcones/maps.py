@@ -16,7 +16,6 @@ from functools import cache
 import numpy as np
 
 from .gellmann import GellMannBasis, build_basis, diag_expectations, expand
-from .linalg import kron
 
 __all__ = [
     "KossakowskiMap",
@@ -96,18 +95,15 @@ def embedding_from_euler(
     beta: float,
     gamma: float,
     parity: str = "proper",
-    n: int = 4,
 ) -> OrthogonalEmbedding:
-    """Embedding whose block is the Euler rotation, negated when improper."""
-    if n != 4:
-        raise ValueError("Euler angles parameterize the 3 x 3 block, so n must be 4")
+    """Embedding of M_4(C) whose block is the Euler rotation, negated when improper."""
     if parity not in ("proper", "improper"):
         raise ValueError(f"parity must be 'proper' or 'improper', got {parity!r}")
     _require_finite_angles(alpha, beta, gamma)
     block = euler_rotation(alpha, beta, gamma)
     if parity == "improper":
         block = -block
-    return OrthogonalEmbedding(n=n, block=block, parity=parity)
+    return OrthogonalEmbedding(n=4, block=block, parity=parity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +220,7 @@ def choi_witness(kmap: KossakowskiMap) -> Witness:
     w = np.zeros((n * n, n * n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            w += kron(_unit(i, j, n), kmap.apply(_unit(i, j, n)))
+            w += np.kron(_unit(i, j, n), kmap.apply(_unit(i, j, n)))
     return Witness(n=n, operator=w * (n - 1))
 
 

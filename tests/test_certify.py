@@ -195,6 +195,11 @@ def test_detect_validation():
         detect(w, bad)
     with pytest.raises(ValueError, match="eigenvalue"):
         detect(w, np.diag([1.0] * 15 + [-1.0]))
+    # its squared Frobenius norm overflows; the eigenvalue -1e200 is still found
+    huge = np.zeros((16, 16))
+    huge[0, 1] = huge[1, 0] = 1e200
+    with pytest.raises(ValueError, match="eigenvalue -1.0+e\\+200"):
+        detect(w, huge)
 
 
 def test_detect_names_non_finite_states():

@@ -89,6 +89,17 @@ def test_classify_outlier_warns_but_succeeds(capsys):
     assert abs(cones["residual_one"]) > 0.1 and abs(cones["residual_two"]) > 0.1
 
 
+def test_classify_cone_verdicts_share_the_record_tol(capsys):
+    # off cone II by about 1e-10: outside --tol 1e-12, inside the default 1e-9
+    params = ["--params", "1", "1.00000000005", "1", "-0.00000000005", "--restarts", "2"]
+    for tol, on_cone in (("1e-12", False), ("1e-9", True)):
+        code, rec = run(capsys, ["classify", *params, "--tol", tol])
+        assert code == 0
+        cones, cert = rec["outputs"]["cones"], rec["outputs"]["certificate"]
+        assert cones["on_cone_two"] is cert["on_cone"] is on_cone
+        assert (cert["warning"] is None) is on_cone
+
+
 def test_classify_validation_error(capsys):
     code, rec = run(capsys, ["classify", "--params", "1,1,1,1"])
     assert code == 3
@@ -235,10 +246,15 @@ def test_geometry_csv(capsys, tmp_path):
     assert b == 0.5
 
 
-def test_geometry_csv_requires_out(capsys):
+def test_geometry_csv_requires_out(capsys, monkeypatch):
+    # rejected before any row is built
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the --out check")
+
+    monkeypatch.setattr(cli, "sample_cloud", never)
     code, rec = run(capsys, ["geometry", "--format", "csv"])
     assert code == 2
-    assert rec["error"]["kind"] == "usage"
+    assert rec["error"]["kind"] == "usage" and "--out" in rec["error"]["message"]
 
 
 def test_geometry_io_error(capsys, tmp_path):
@@ -250,11 +266,28 @@ def test_geometry_io_error(capsys, tmp_path):
 
 def test_geometry_json_out_file(capsys, tmp_path):
     out = tmp_path / "cloud.json"
-    code, rec = run(capsys, ["geometry", "--cone", "II", "--resolution", "2",
-                             "--format", "json", "--out", str(out)])
+    code = main(["geometry", "--cone", "II", "--resolution", "2",
+                 "--format", "json", "--out", str(out)])
     assert code == 0
-    on_disk = json.loads(out.read_text())
-    assert on_disk == rec
+    # the file holds the printed record byte for byte, without print's newline
+    assert capsys.readouterr().out.encode() == out.read_bytes() + b"\n"
+    assert json.loads(out.read_text())["outputs"]["counts"]["II"] == 3
+
+
+@pytest.mark.parametrize("extra", [[], ["--out", "cloud.json"], ["--format", "csv", "--out", "cloud.csv"]])
+def test_geometry_serializes_its_record_once(capsys, monkeypatch, tmp_path, extra):
+    calls = []
+    dumps = json.dumps
+
+    def counting_dumps(*args, **kwargs):
+        calls.append(kwargs)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    assert main(["geometry", "--resolution", "3", *extra]) == 0
+    assert calls == [{"indent": 2, "allow_nan": False}]
+    assert strict_loads(capsys.readouterr().out)["command"] == "geometry"
 
 
 def test_spa_record(capsys):

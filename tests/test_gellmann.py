@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ewcones.gellmann import basis_index, build_basis, diag_expectations, expand
+from ewcones.gellmann import build_basis, diag_expectations, expand
 
 
 def test_orthonormal_and_complete():
@@ -25,9 +25,9 @@ def test_ordering_and_index():
     basis = build_basis(4)
     assert basis.labels[0] == ("identity",)
     assert basis.labels[1:4] == (("diagonal", 1), ("diagonal", 2), ("diagonal", 3))
-    sym = basis.elements[basis_index(basis, "symmetric", 1, 2)]
+    sym = basis.elements[basis.labels.index(("symmetric", 1, 2))]
     assert sym[0, 1] == pytest.approx(1 / np.sqrt(2))
-    anti = basis.elements[basis_index(basis, "antisymmetric", 3, 4)]
+    anti = basis.elements[basis.labels.index(("antisymmetric", 3, 4))]
     assert anti[2, 3] == pytest.approx(-1j / np.sqrt(2))
     # symmetric block precedes antisymmetric block
     kinds = [lab[0] for lab in basis.labels]

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ewcones import linalg
 from ewcones.linalg import (
     dagger,
     frobenius_inner,
     frobenius_norm,
     hermitian_eig,
     is_hermitian,
-    is_psd,
-    kron,
     partial_transpose,
 )
 
@@ -26,10 +25,6 @@ def test_dagger_and_inner():
     assert_allclose(dagger(a), a.conj().T)
     assert_allclose(frobenius_inner(a, b), np.trace(a.conj().T @ b), atol=1e-13)
     assert frobenius_norm(a) == pytest.approx(np.linalg.norm(a))
-
-
-def test_kron_is_numpy():
-    assert kron is np.kron
 
 
 def test_is_hermitian():
@@ -65,13 +60,30 @@ def test_hermitian_eig_sorted_and_real_input():
     assert_allclose(res.values, np.linalg.eigvalsh(m), atol=1e-11)
 
 
-def test_hermitian_eig_signals_unconverged_sweeps():
+def test_hermitian_eig_signals_unconverged_sweeps(monkeypatch):
     m = random_hermitian(np.random.default_rng(7), 16)
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        hermitian_eig(m, max_sweeps=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge in 1 sweeps"):
+            hermitian_eig(m)
     # a ValueError, so the command line reports it as a validation failure
     assert issubclass(np.linalg.LinAlgError, ValueError)
     assert_allclose(hermitian_eig(m).values, np.linalg.eigvalsh(m), atol=1e-11)
+
+
+def test_hermitian_eig_extreme_magnitudes():
+    # the squared Frobenius norm of these overflows (or underflows); the solver
+    # must still rotate, and power-of-two scaling keeps the values exact
+    for big in (1e200, 1.7e308):
+        with np.errstate(all="raise"):
+            assert_allclose(hermitian_eig([[0.0, big], [big, 0.0]]).values, [-big, big], rtol=1e-15)
+    rng = np.random.default_rng(8)
+    m = random_hermitian(rng, 16)
+    base = hermitian_eig(m)
+    for power in (-900, -600, 600, 1000):
+        scaled = hermitian_eig(m * 2.0**power)
+        assert np.array_equal(scaled.values, base.values * 2.0**power)
+        assert np.array_equal(scaled.vectors, base.vectors)
 
 
 def test_hermitian_eig_rejects_non_hermitian():
@@ -82,16 +94,6 @@ def test_hermitian_eig_rejects_non_hermitian():
         m[3, 3] = bad
         with pytest.raises(ValueError, match="finite"):
             hermitian_eig(m)
-
-
-def test_is_psd():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert is_psd(a @ a.conj().T)
-    assert not is_psd(np.diag([1.0, -0.1]))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            is_psd(np.diag([1.0, 1.0, 1.0, bad]))
 
 
 def test_partial_transpose_on_products():
