@@ -14,7 +14,7 @@ import numpy as np
 
 from .cones import ConeReport, cone_residuals
 from .family import WitnessParams, witness_from_params
-from .linalg import dagger, hermitian_eig, is_hermitian, partial_transpose
+from .linalg import hermitian_eig, is_hermitian, partial_transpose
 from .maps import Witness, _circulant, _ii_operator
 
 __all__ = [
@@ -224,8 +224,10 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
     if not is_hermitian(rho, tol):
         raise ValueError("state is not Hermitian")
     # the Hermitian part: the solver's own, tighter check must not reject a
-    # skew that tol accepted (and it equals rho when rho is exactly Hermitian)
-    low = hermitian_eig((rho + dagger(rho)) / 2).values[0]
+    # skew that tol accepted. Written as rho plus half the skew, it equals rho
+    # exactly when rho is exactly Hermitian and moves each entry by at most
+    # tol / 2, so it does not overflow where rho + rho^dagger would
+    low = hermitian_eig(rho + (rho.conj().T - rho) / 2).values[0]
     if low < -tol:
         raise ValueError(f"state is not positive semidefinite: eigenvalue {low:.6e}")
     return float(np.trace(w.operator @ rho).real)

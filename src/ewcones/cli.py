@@ -47,14 +47,14 @@ def matrix_to_pairs(m: np.ndarray) -> list:
     return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
 
 
-def matrix_from_pairs(data, dim: int = 16) -> np.ndarray:
-    """Decode [re, im] pairs, nested dim x dim or a flat list of dim^2."""
+def matrix_from_pairs(data) -> np.ndarray:
+    """Decode [re, im] pairs of a 16 x 16 matrix, nested or a flat list of 256."""
     arr = np.asarray(data, dtype=float)
-    if arr.shape == (dim * dim, 2):
-        arr = arr.reshape(dim, dim, 2)
-    if arr.shape != (dim, dim, 2):
+    if arr.shape == (256, 2):
+        arr = arr.reshape(16, 16, 2)
+    if arr.shape != (16, 16, 2):
         raise ValueError(
-            f"expected {dim}x{dim} [re, im] pairs (flat or nested), got shape {arr.shape}"
+            f"expected 16x16 [re, im] pairs (flat or nested), got shape {arr.shape}"
         )
     return arr[..., 0] + 1j * arr[..., 1]
 
@@ -93,6 +93,11 @@ def _parse_floats(tokens: list[str], count: int, flag: str) -> list[float]:
     if len(values) != count:
         raise CommandError("usage", f"{flag} expects {count} values, got {len(values)}", 2)
     return values
+
+
+def _require_between(flag: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise CommandError("usage", f"{flag} must be between {lo} and {hi}, got {value}", 2)
 
 
 def _resolve_params(args: argparse.Namespace) -> WitnessParams:
@@ -206,10 +211,7 @@ def _certificate_payload(cert) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> str:
-    if not 1 <= args.restarts <= MAX_RESTARTS:
-        raise CommandError(
-            "usage", f"--restarts must be between 1 and {MAX_RESTARTS}, got {args.restarts}", 2
-        )
+    _require_between("--restarts", args.restarts, 1, MAX_RESTARTS)
     params = _resolve_params(args)
     seed = _resolve_seed(args)
     cert = certify_decomposability(params, tol=args.tol)
@@ -247,12 +249,7 @@ def _geometry_rows(cones: tuple[str, ...], resolution: int) -> list[tuple]:
 
 
 def _cmd_geometry(args: argparse.Namespace) -> str:
-    if not 2 <= args.resolution <= MAX_RESOLUTION:
-        raise CommandError(
-            "usage",
-            f"--resolution must be between 2 and {MAX_RESOLUTION}, got {args.resolution}",
-            2,
-        )
+    _require_between("--resolution", args.resolution, 2, MAX_RESOLUTION)
     if args.format == "csv" and args.out is None:
         raise CommandError("usage", "--format csv requires --out", 2)
     cones = ("I", "II") if args.cone == "both" else (args.cone,)

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_inner
-
 __all__ = [
     "GellMannBasis",
     "build_basis",
@@ -83,7 +81,7 @@ def expand(x: np.ndarray, basis: GellMannBasis) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (basis.n, basis.n):
         raise ValueError(f"expected shape {(basis.n, basis.n)}, got {x.shape}")
-    return np.array([frobenius_inner(f, x) for f in basis.elements])
+    return np.einsum("aij,ij->a", basis.elements.conj(), x)
 
 
 def diag_expectations(basis: GellMannBasis) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Dense linear algebra kernels for small complex matrices.
 
 Everything here operates on numpy arrays of modest size (16 x 16 at most in
-this package), so clarity wins over asymptotics. The Hermitian eigensolver is
-a Jacobi iteration with two-sided unitary rotations in round-robin order: each
+this package), so clarity wins over asymptotics. The Hermitian eigensolver
+returns the spectrum only, which is all a certificate reads; it is a Jacobi
+iteration with two-sided unitary rotations in round-robin order: each
 round rotates n/2 disjoint index pairs at once as array operations, and n - 1
 rounds make a sweep over all pairs (Brent & Luk 1985; Luk & Park 1989 show
 this ordering equivalent to the cyclic-by-rows one, so its convergence
@@ -18,9 +19,6 @@ import numpy as np
 
 __all__ = [
     "EigenResult",
-    "dagger",
-    "frobenius_inner",
-    "frobenius_norm",
     "hermitian_eig",
     "is_hermitian",
     "partial_transpose",
@@ -32,25 +30,9 @@ JACOBI_MAX_SWEEPS = 100
 
 
 class EigenResult(NamedTuple):
-    """Eigenvalues in ascending order and matching eigenvector columns."""
+    """Eigenvalues in ascending order."""
 
     values: np.ndarray
-    vectors: np.ndarray
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(a^dagger b)."""
-    return complex(np.sum(np.conjugate(a) * b))
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
@@ -58,7 +40,7 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
 def _require_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
@@ -67,7 +49,7 @@ def _require_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    dev = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
+    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e}")
     return m
@@ -121,24 +103,23 @@ def hermitian_eig(m: np.ndarray) -> EigenResult:
     a round rotates its n/2 disjoint pairs together, as array operations, by
     two-sided unitary plane rotations that zero each pair's off-diagonal
     entry. Sweeps run until the off-diagonal Frobenius mass drops below
-    JACOBI_TOL times the Frobenius norm of the input. Returns ascending
-    eigenvalues and orthonormal eigenvector columns; raises
+    JACOBI_TOL times the Frobenius norm of the input. Returns the eigenvalues
+    in ascending order, without eigenvectors; raises
     numpy.linalg.LinAlgError (a ValueError) when JACOBI_MAX_SWEEPS sweeps
     leave the mass above that threshold.
     """
     a = _require_hermitian(m, HERMITIAN_TOL).copy()
     n = a.shape[0]
-    v = np.eye(n, dtype=complex)
     if n <= 1:
-        return EigenResult(np.diag(a).real.copy(), v)
+        return EigenResult(np.diag(a).real.copy())
     # scale by the power of two that puts the largest entry in [1/2, 1), so
     # the norm cannot overflow or underflow; away from subnormals every
     # rounding step scales exactly with it, so the spectrum is unchanged
     exponent = math.frexp(float(np.max(np.abs(a))))[1]
     a = np.ldexp(a.view(float), -exponent).view(complex)
-    scale = frobenius_norm(a)
+    scale = float(np.linalg.norm(a))
     if scale == 0.0:
-        return EigenResult(np.zeros(n), v)
+        return EigenResult(np.zeros(n))
     threshold = JACOBI_TOL * scale
     # negligibility cutoff per element; rotations below it cannot move the mass
     tiny = 1e-300
@@ -178,16 +159,13 @@ def hermitian_eig(m: np.ndarray) -> EigenResult:
             us[q] = u_pq
             a = a * cs + a.take(partner, axis=1) * us
             a = cs[:, None] * a + np.conj(us)[:, None] * a.take(partner, axis=0)
-            v = v * cs + v.take(partner, axis=1) * us
             flat = a.ravel()
             flat[pq] = 0.0
             flat[qp] = 0.0
             flat[:: n + 1] = d
     if _off_diagonal_mass(a) > threshold:
         raise np.linalg.LinAlgError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-    values = np.ldexp(np.diag(a).real, exponent)
-    order = np.argsort(values, kind="stable")
-    return EigenResult(values[order].copy(), v[:, order].copy())
+    return EigenResult(np.sort(np.ldexp(np.diag(a).real, exponent), kind="stable"))
 
 
 def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,13 @@ def test_detect_validation():
     huge[0, 1] = huge[1, 0] = 1e200
     with pytest.raises(ValueError, match="eigenvalue -1.0+e\\+200"):
         detect(w, huge)
+    # finite but near the largest float: forming the Hermitian part must not
+    # overflow into a "not finite" rejection
+    huge[0, 1] = huge[1, 0] = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="eigenvalue -1.70+e\\+308"):
+            detect(w, huge)
 
 
 def test_detect_names_non_finite_states():

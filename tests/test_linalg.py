@@ -3,28 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ewcones import linalg
-from ewcones.linalg import (
-    dagger,
-    frobenius_inner,
-    frobenius_norm,
-    hermitian_eig,
-    is_hermitian,
-    partial_transpose,
-)
+from ewcones.linalg import hermitian_eig, is_hermitian, partial_transpose
 
 
 def random_hermitian(rng, n):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (m + m.conj().T) / 2
-
-
-def test_dagger_and_inner():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert_allclose(dagger(a), a.conj().T)
-    assert_allclose(frobenius_inner(a, b), np.trace(a.conj().T @ b), atol=1e-13)
-    assert frobenius_norm(a) == pytest.approx(np.linalg.norm(a))
 
 
 def test_is_hermitian():
@@ -39,15 +23,6 @@ def test_hermitian_eig_matches_lapack():
             m = random_hermitian(rng, n)
             res = hermitian_eig(m)
             assert_allclose(res.values, np.linalg.eigvalsh(m), atol=1e-10)
-
-
-def test_hermitian_eig_reconstructs():
-    rng = np.random.default_rng(2)
-    m = random_hermitian(rng, 6)
-    res = hermitian_eig(m)
-    v = res.vectors
-    assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-11)
-    assert_allclose(v @ np.diag(res.values) @ v.conj().T, m, atol=1e-11)
 
 
 def test_hermitian_eig_sorted_and_real_input():
@@ -83,7 +58,6 @@ def test_hermitian_eig_extreme_magnitudes():
     for power in (-900, -600, 600, 1000):
         scaled = hermitian_eig(m * 2.0**power)
         assert np.array_equal(scaled.values, base.values * 2.0**power)
-        assert np.array_equal(scaled.vectors, base.vectors)
 
 
 def test_hermitian_eig_rejects_non_hermitian():
