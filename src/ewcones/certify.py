@@ -14,7 +14,7 @@ import numpy as np
 
 from .cones import ConeReport, cone_residuals
 from .family import WitnessParams, witness_from_params
-from .linalg import hermitian_eig, is_hermitian, partial_transpose
+from .linalg import hermitian_eig, is_hermitian, partial_transpose, psd_proved
 from .maps import Witness, _circulant, _ii_operator
 
 __all__ = [
@@ -44,14 +44,19 @@ class PptProbe:
 def probe_state(epsilon: float) -> PptProbe:
     """Unnormalized PPT probe with weights (1, eps, 1, 1/eps) per row cycle.
 
-    Positivity and positivity of the partial transpose are checked
-    numerically at construction for every epsilon.
+    Positivity and positivity of the partial transpose are checked at
+    construction for every epsilon, each to within EVIDENCE_TOL: a shifted
+    Cholesky proves the check where it can (`psd_proved`), and where it
+    cannot, as for eps far from 1, the Jacobi spectrum decides it and its
+    lowest eigenvalue is quoted if the check fails.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (epsilon > 0 and math.isfinite(epsilon) and math.isfinite(1.0 / epsilon)):
+        raise ValueError(f"epsilon must be positive, with epsilon and 1/epsilon finite, got {epsilon}")
     weights = (1.0, float(epsilon), 1.0, 1.0 / float(epsilon))
     rho = _ii_operator(_circulant(weights).ravel(), np.ones((4, 4)))
     for m, name in ((rho, "probe"), (partial_transpose(rho, 4, 4), "partial transpose")):
+        if psd_proved(m, EVIDENCE_TOL):
+            continue
         low = hermitian_eig(m).values[0]
         if low < -EVIDENCE_TOL:
             raise ValueError(f"{name} failed positivity at eps={epsilon}: {low:.3e}")
@@ -214,7 +219,10 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
     """Trace of W rho for a positive semidefinite state rho.
 
     A negative value certifies entanglement of rho; when rho is PPT it
-    certifies PPT entanglement.
+    certifies PPT entanglement. The state is accepted when a shifted Cholesky
+    proves that its Hermitian part has no eigenvalue below -tol
+    (`psd_proved`). Only when that proof fails does the Jacobi spectrum
+    decide, and a rejection quotes its lowest eigenvalue.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != w.operator.shape:
@@ -223,11 +231,13 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
         raise ValueError("state entries must be finite")
     if not is_hermitian(rho, tol):
         raise ValueError("state is not Hermitian")
-    # the Hermitian part: the solver's own, tighter check must not reject a
-    # skew that tol accepted. Written as rho plus half the skew, it equals rho
-    # exactly when rho is exactly Hermitian and moves each entry by at most
-    # tol / 2, so it does not overflow where rho + rho^dagger would
-    low = hermitian_eig(rho + (rho.conj().T - rho) / 2).values[0]
-    if low < -tol:
-        raise ValueError(f"state is not positive semidefinite: eigenvalue {low:.6e}")
+    if not psd_proved(rho, tol):
+        # the Hermitian part: the solver's own, tighter check must not reject
+        # a skew that tol accepted. Written as rho plus half the skew, it
+        # equals rho exactly when rho is exactly Hermitian and moves each
+        # entry by at most tol / 2, so it does not overflow where
+        # rho + rho^dagger would
+        low = hermitian_eig(rho + (rho.conj().T - rho) / 2).values[0]
+        if low < -tol:
+            raise ValueError(f"state is not positive semidefinite: eigenvalue {low:.6e}")
     return float(np.trace(w.operator @ rho).real)

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .certify import block_positivity_min, certify_decomposability, detect
+from .certify import DECISION_TOL, block_positivity_min, certify_decomposability, detect
 from .cones import ConeReport, bd_curve, sample_cloud, special_points
 from .family import WitnessParams, abcd_from_euler, witness_from_params
 from .spa import spa_decompose
@@ -49,14 +49,18 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 
 def matrix_from_pairs(data) -> np.ndarray:
     """Decode [re, im] pairs of a 16 x 16 matrix, nested or a flat list of 256."""
-    arr = np.asarray(data, dtype=float)
-    if arr.shape == (256, 2):
-        arr = arr.reshape(16, 16, 2)
-    if arr.shape != (16, 16, 2):
-        raise ValueError(
-            f"expected 16x16 [re, im] pairs (flat or nested), got shape {arr.shape}"
-        )
-    return arr[..., 0] + 1j * arr[..., 1]
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        # a JSON object, a string or a ragged list has no numeric shape
+        got = "data that is not a numeric array"
+    else:
+        if arr.shape == (256, 2):
+            arr = arr.reshape(16, 16, 2)
+        if arr.shape == (16, 16, 2):
+            return arr[..., 0] + 1j * arr[..., 1]
+        got = f"shape {arr.shape}"
+    raise ValueError(f"expected 16x16 [re, im] pairs (flat or nested), got {got}")
 
 
 def _add_witness_args(sub: argparse.ArgumentParser) -> None:
@@ -76,7 +80,7 @@ def _add_witness_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--degrees", action="store_true", help="read Euler angles as degrees"
     )
-    sub.add_argument("--tol", type=float, default=1e-9, help="decision tolerance")
+    sub.add_argument("--tol", type=float, default=DECISION_TOL, help="decision tolerance")
 
 
 def _parse_floats(tokens: list[str], count: int, flag: str) -> list[float]:

@@ -8,6 +8,9 @@ round rotates n/2 disjoint index pairs at once as array operations, and n - 1
 rounds make a sweep over all pairs (Brent & Luk 1985; Luk & Park 1989 show
 this ordering equivalent to the cyclic-by-rows one, so its convergence
 guarantee carries over).
+
+A yes/no positivity question needs no spectrum: `psd_proved` settles it by
+one shifted Cholesky factorization whose completion is a proof (Rump 2006).
 """
 from __future__ import annotations
 
@@ -22,11 +25,14 @@ __all__ = [
     "hermitian_eig",
     "is_hermitian",
     "partial_transpose",
+    "psd_proved",
 ]
 
 HERMITIAN_TOL = 1e-12
 JACOBI_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
+_UNIT_ROUNDOFF = 2.0**-53
+_ETA = math.ulp(0.0)  # smallest subnormal
 
 
 class EigenResult(NamedTuple):
@@ -43,16 +49,24 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def _require_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+def _require_square_finite(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e}")
     return m
+
+
+def _scaled_to_unit(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """a times 2**-e, with e the power of two that puts its largest entry in [1/2, 1).
+
+    The scaled norm cannot overflow or underflow, and away from subnormals
+    every rounding step scales exactly with 2**e, so results scale back
+    exactly. Returns the scaled array and e.
+    """
+    exponent = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+    return np.ldexp(np.ascontiguousarray(a).view(float), -exponent).view(complex), exponent
 
 
 def _off_diagonal_mass(a: np.ndarray) -> float:
@@ -108,15 +122,14 @@ def hermitian_eig(m: np.ndarray) -> EigenResult:
     numpy.linalg.LinAlgError (a ValueError) when JACOBI_MAX_SWEEPS sweeps
     leave the mass above that threshold.
     """
-    a = _require_hermitian(m, HERMITIAN_TOL).copy()
+    a = _require_square_finite(m)
+    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e}")
     n = a.shape[0]
     if n <= 1:
         return EigenResult(np.diag(a).real.copy())
-    # scale by the power of two that puts the largest entry in [1/2, 1), so
-    # the norm cannot overflow or underflow; away from subnormals every
-    # rounding step scales exactly with it, so the spectrum is unchanged
-    exponent = math.frexp(float(np.max(np.abs(a))))[1]
-    a = np.ldexp(a.view(float), -exponent).view(complex)
+    a, exponent = _scaled_to_unit(a)
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         return EigenResult(np.zeros(n))
@@ -166,6 +179,74 @@ def hermitian_eig(m: np.ndarray) -> EigenResult:
     if _off_diagonal_mass(a) > threshold:
         raise np.linalg.LinAlgError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
     return EigenResult(np.sort(np.ldexp(np.diag(a).real, exponent), kind="stable"))
+
+
+def psd_proved(m: np.ndarray, tol: float) -> bool:
+    """True only when a Cholesky factorization proves lambda_min(m) >= -tol.
+
+    m may be real or complex; the claim is about its Hermitian part, so a
+    skew of m can never void it. False means "not proved", not "not PSD".
+    Raises ValueError on a non-square matrix or non-finite entries.
+
+    Theorem (Rump, "Verification of positive definiteness", BIT 46, 2006,
+    built on Demmel's backward error of Cholesky): if floating-point
+    Cholesky of a real symmetric N x N matrix A runs to completion with
+    factor R, then R^T R = A + dA with |dA| <= gamma_k |R^T| |R|, where
+    gamma_k = k u / (1 - k u) and u = 2**-53. As R^T R is PSD and
+    ||R||_F^2 <= sum |a_ii| / (1 - gamma_k), lambda_min(A) >= -||dA||_2 >=
+    -gamma_k / (1 - gamma_k) sum |a_ii|. So when Cholesky of A + (tol - c) I
+    completes, with c at least that bound for the shifted matrix, then
+    A >= -tol I. The bound holds for any order of evaluating each entry's
+    sum of products, with or without fused multiply-adds, and for a division
+    by the pivot or a multiplication by its reciprocal. LAPACK's blocked and
+    recursive potrf only regroups those sums into syrk, gemm and trsm
+    updates, so it is covered; the bound needs classical products, and
+    reference LAPACK and OpenBLAS use no Strassen-type ones. Demmel's
+    analysis gives k = N + 1; k = N + 2 here allows the extra rounding of a
+    reciprocal.
+
+    Hermitian m = X + iY is embedded as the real symmetric [[X, -Y], [Y, X]],
+    whose spectrum is that of m, doubled; the embedding reads the lower
+    triangle of m only. Both m and tol are first scaled by the power of two
+    that `hermitian_eig` uses. The constant is
+
+        c = 2 (gamma_k / (1 - gamma_k) (sum |a_ii| + N tol) + n max|m - m^H|
+               + (2 N^2 + N + 1) eta)
+
+    with n the order of m and eta the smallest subnormal. The first term is
+    Rump's, for the shifted matrix; the second bounds the distance from the
+    Hermitian part of m to the triangle that was read; the third bounds
+    underflow in the factorization and in the scaling of m and tol. Doubling
+    absorbs the rounding of the shift on the diagonal and of evaluating c
+    and tol - c, each a small fraction of the first term.
+    """
+    a, exponent = _scaled_to_unit(_require_square_finite(m))
+    n = a.shape[0]
+    size = 2 * n
+    lower = np.tril(a, -1)
+    h = lower + lower.conj().T + np.diag(a.diagonal().real)
+    x, y = h.real, h.imag
+    e = np.block([[x, -y], [y, x]])
+    # the scaled m has norm below n, so a tol beyond 2**bit_length(2n) claims
+    # nothing more than that cap does; capping keeps the shift finite
+    mantissa, tol_exponent = math.frexp(tol)
+    scaled_tol = math.ldexp(mantissa, min(tol_exponent - exponent, size.bit_length()))
+    gamma = (size + 2) * _UNIT_ROUNDOFF / (1 - (size + 2) * _UNIT_ROUNDOFF)
+    skew = float(np.max(np.abs(a - a.conj().T), initial=0.0))
+    c = 2.0 * (
+        gamma / (1 - gamma) * (float(np.abs(e.diagonal()).sum()) + size * scaled_tol)
+        + n * skew
+        + (2 * size * size + size + 1) * _ETA
+    )
+    shift = scaled_tol - c
+    if not shift > 0:
+        return False
+    e.flat[:: size + 1] += shift
+    try:
+        np.linalg.cholesky(e)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .certify import EVIDENCE_TOL
 from .family import WitnessParams, witness_from_params
-from .linalg import hermitian_eig, partial_transpose
+from .linalg import hermitian_eig, partial_transpose, psd_proved
 from .maps import Witness, _circulant, _ii_operator
 
 __all__ = [
@@ -78,9 +78,7 @@ def _pair_support_ok(sigma: np.ndarray, i: int, j: int) -> bool:
     if np.max(np.abs(sigma[~mask])) > 1e-12:
         return False
     sub = sigma[np.ix_(keep, keep)]
-    if hermitian_eig(sub).values[0] < -EVIDENCE_TOL:
-        return False
-    return hermitian_eig(partial_transpose(sub, 2, 2)).values[0] >= -EVIDENCE_TOL
+    return psd_proved(sub, EVIDENCE_TOL) and psd_proved(partial_transpose(sub, 2, 2), EVIDENCE_TOL)
 
 
 @cache

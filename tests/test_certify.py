@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ewcones import certify
 from ewcones.certify import (
+    DECISION_TOL,
+    EVIDENCE_TOL,
     block_positivity_min,
     certify_decomposability,
     detect,
@@ -14,7 +17,7 @@ from ewcones.certify import (
 )
 from ewcones.cones import bd_curve, special_points
 from ewcones.family import WitnessParams, witness_from_params
-from ewcones.linalg import partial_transpose
+from ewcones.linalg import hermitian_eig, is_hermitian, partial_transpose
 from ewcones.maps import Witness, max_entangled_projector
 
 
@@ -37,6 +40,10 @@ def test_probe_state_rejects_bad_epsilon():
         probe_state(0.0)
     with pytest.raises(ValueError):
         probe_state(-2.0)
+    # rejected up front, naming epsilon, before any matrix is built
+    for bad in (math.inf, math.nan, 1e-320):
+        with pytest.raises(ValueError, match="epsilon"):
+            probe_state(bad)
 
 
 def test_pairing_closed_form():
@@ -230,3 +237,97 @@ def test_detect_accepts_skew_within_tol():
     rho[0, 1] = 1e-8
     with pytest.raises(ValueError, match="state is not Hermitian"):
         detect(w, rho)
+
+
+def jacobi_detect(w, rho, tol=DECISION_TOL):
+    """detect as it was before the Cholesky proof: Jacobi decides every state."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != w.operator.shape:
+        raise ValueError(f"expected shape {w.operator.shape}, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("state entries must be finite")
+    if not is_hermitian(rho, tol):
+        raise ValueError("state is not Hermitian")
+    low = hermitian_eig(rho + (rho.conj().T - rho) / 2).values[0]
+    if low < -tol:
+        raise ValueError(f"state is not positive semidefinite: eigenvalue {low:.6e}")
+    return float(np.trace(w.operator @ rho).real)
+
+
+def jacobi_probe_checks(rho, epsilon):
+    """probe_state's two checks as they were before the Cholesky proof."""
+    for m, name in ((rho, "probe"), (partial_transpose(rho, 4, 4), "partial transpose")):
+        low = hermitian_eig(m).values[0]
+        if low < -EVIDENCE_TOL:
+            raise ValueError(f"{name} failed positivity at eps={epsilon}: {low:.3e}")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def seeded_states(rng):
+    """Dense states: random mixed, rotated noisy PPT probes, not PSD, and near -tol."""
+    def unitary(n):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    for _ in range(8):
+        g = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
+        rho = g @ g.conj().T
+        yield (rho + rho.conj().T) / 2 / np.trace(rho).real
+        local = np.kron(unitary(4), unitary(4))
+        probe = probe_state(float(rng.uniform(0.5, 2.0))).state
+        rho = local @ (probe / np.trace(probe).real) @ local.conj().T
+        yield (rho + rho.conj().T) / 2
+        u = unitary(16)
+        # lambda_min at -0.05 and 1e-3 * tol on either side of -tol
+        for low in (-0.05, -1e-9 * (1 + 1e-3), -1e-9 * (1 - 1e-3)):
+            rho = (u * np.concatenate(([low], rng.uniform(0.01, 0.1, 15)))) @ u.conj().T
+            yield (rho + rho.conj().T) / 2
+
+
+def test_detect_and_probe_match_the_jacobi_reference():
+    rng = np.random.default_rng(84)
+    w = witness_from_params(WitnessParams(1.0, 1.0, 1.0, 0.0))
+    results = []
+    for rho in seeded_states(rng):
+        got = outcome(detect, w, rho)
+        assert got == outcome(jacobi_detect, w, rho)
+        results.append(isinstance(got, str))
+    # both verdicts occur, on each side of the boundary
+    assert results.count(True) == 16 and results.count(False) == 24
+    for k in range(-20, 21):
+        eps = 2.0**k
+        probe = probe_state(eps)
+        jacobi_probe_checks(probe.state, eps)
+        assert probe.epsilon == eps
+
+
+def test_probe_check_failure_keeps_the_jacobi_message(monkeypatch):
+    # a probe matrix with a negative diagonal entry, so both checks fail
+    def spoiled(diagonal, block):
+        op = ii_operator(diagonal, block)
+        op[0, 0] = -1.0
+        return op
+
+    ii_operator = certify._ii_operator
+    monkeypatch.setattr(certify, "_ii_operator", spoiled)
+    expected = outcome(jacobi_probe_checks, spoiled(np.ones(16), np.ones((4, 4))), 1.0)
+    assert expected.startswith("probe failed positivity at eps=1.0: -")
+    with pytest.raises(ValueError) as error:
+        probe_state(1.0)
+    assert str(error.value) == expected
+
+
+def test_detect_proves_a_psd_state_without_jacobi(monkeypatch):
+    def no_eig(m):
+        raise AssertionError("Jacobi ran on a state the Cholesky proof settles")
+
+    monkeypatch.setattr(certify, "hermitian_eig", no_eig)
+    w = witness_from_params(WitnessParams(1.0, 1.0, 1.0, 0.0))
+    assert detect(w, np.eye(16) / 16.0) == pytest.approx(0.75)
+    assert detect(w, max_entangled_projector(4)) == pytest.approx(-2.0)

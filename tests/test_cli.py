@@ -9,7 +9,7 @@ import pytest
 from ewcones import __version__, certify, cli
 from ewcones.cli import main, matrix_from_pairs, matrix_to_pairs
 from ewcones.family import abcd_from_euler
-from ewcones.linalg import hermitian_eig
+from ewcones.linalg import psd_proved
 from ewcones.maps import embedding_from_euler, max_entangled_projector
 
 
@@ -160,11 +160,15 @@ def test_records_are_strict_json(capsys, monkeypatch, tmp_path):
 def test_classify_serializes_the_certificate_probe(capsys, monkeypatch):
     calls = []
 
-    def counting_eig(m, *args, **kwargs):
+    def counting_proof(m, tol):
         calls.append(np.shape(m))
-        return hermitian_eig(m, *args, **kwargs)
+        return psd_proved(m, tol)
 
-    monkeypatch.setattr(certify, "hermitian_eig", counting_eig)
+    def no_eig(m):
+        raise AssertionError("both probe checks at eps = 0.5 are proved")
+
+    monkeypatch.setattr(certify, "psd_proved", counting_proof)
+    monkeypatch.setattr(certify, "hermitian_eig", no_eig)
     code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--restarts", "2"])
     assert code == 0
     # the probe and its partial transpose are checked once, by the certificate
@@ -324,6 +328,17 @@ def test_detect_missing_file(capsys, tmp_path):
                              "--state", str(tmp_path / "missing.json")])
     assert code == 4
     assert rec["error"]["kind"] == "io"
+
+
+@pytest.mark.parametrize("data", [{"a": 1}, [[1, {"x": 2}]], "abc", [[1, 2], [3]]])
+def test_detect_state_that_is_not_a_numeric_array(capsys, tmp_path, data):
+    state = tmp_path / "odd.json"
+    state.write_text(json.dumps(data))
+    code, rec = run(capsys, ["detect", "--params", "1,1,1,0", "--state", str(state)])
+    assert code == 3 and rec["error"]["kind"] == "validation"
+    assert rec["error"]["message"] == (
+        "expected 16x16 [re, im] pairs (flat or nested), got data that is not a numeric array"
+    )
 
 
 def test_detect_malformed_json(capsys, tmp_path):

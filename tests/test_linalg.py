@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ewcones import linalg
-from ewcones.linalg import hermitian_eig, is_hermitian, partial_transpose
+from ewcones.linalg import hermitian_eig, is_hermitian, partial_transpose, psd_proved
 
 
 def random_hermitian(rng, n):
@@ -68,6 +68,87 @@ def test_hermitian_eig_rejects_non_hermitian():
         m[3, 3] = bad
         with pytest.raises(ValueError, match="finite"):
             hermitian_eig(m)
+
+
+def random_unitary(rng, n, complex_entries):
+    g = rng.standard_normal((n, n))
+    if complex_entries:
+        g = g + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def with_lowest_eigenvalue(rng, n, low, complex_entries):
+    """A Hermitian (or real symmetric) matrix of norm about 1 with lambda_min about low."""
+    u = random_unitary(rng, n, complex_entries)
+    spectrum = np.concatenate(([low], rng.uniform(0.05, 1.0, n - 1)))
+    m = (u * spectrum) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def test_psd_proved_is_sound_at_the_boundary():
+    # lambda_min sits at -tol + k ulp for k from -4096 to 4096: every True must
+    # hold against LAPACK, and both answers must occur, so the test bites
+    rng = np.random.default_rng(80)
+    tol = 2.0**-10
+    ulp = np.finfo(float).eps
+    answers = set()
+    for n in range(1, 17):
+        for complex_entries in (False, True):
+            for k in (-4096, -256, -16, -1, 0, 1, 16, 256, 4096):
+                base = with_lowest_eigenvalue(rng, n, -tol + k * ulp, complex_entries)
+                for power in (-900, -300, 0, 300, 1000):
+                    m = base * 2.0**power
+                    proved = psd_proved(m, tol * 2.0**power)
+                    answers.add(proved)
+                    if proved:
+                        assert np.linalg.eigvalsh(m)[0] >= -tol * 2.0**power, (n, k, power)
+    assert answers == {True, False}
+
+
+def test_psd_proved_counts_the_skew_it_does_not_read():
+    # the strictly upper triangle is never read, yet it moves the Hermitian
+    # part, whose lambda_min is the claim; here it lowers it below -tol
+    rng = np.random.default_rng(81)
+    tol = 1e-9
+    h = with_lowest_eigenvalue(rng, 8, -tol + 1e-12, True)
+    assert psd_proved(h, tol)
+    _, vecs = np.linalg.eigh(h)
+    v = vecs[:, 0]
+    skewed = h - 1e-11 * np.triu(np.outer(v, v.conj()), 1)
+    assert np.linalg.eigvalsh((skewed + skewed.conj().T) / 2)[0] < -tol
+    assert not psd_proved(skewed, tol)
+
+
+def test_psd_proved_is_complete_away_from_the_boundary():
+    rng = np.random.default_rng(82)
+    for n in range(1, 17):
+        for complex_entries in (False, True):
+            for tol in (1e-9, 0.0625):
+                base = with_lowest_eigenvalue(rng, n, -tol + 2.0**-20, complex_entries)
+                assert psd_proved(base, tol)
+                for power in (-900, 1000):
+                    assert psd_proved(base * 2.0**power, tol * 2.0**power)
+                assert not psd_proved(with_lowest_eigenvalue(rng, n, -tol - 2.0**-20, complex_entries), tol)
+    # a tol far above the scaled norm is capped, not overflowed
+    with np.errstate(all="raise"):
+        assert psd_proved(np.eye(3) * 2.0**-1000, 1e300)
+        assert psd_proved([[0.0, 1.7e308], [1.7e308, 0.0]], 1.75e308)
+        assert not psd_proved([[0.0, 1.7e308], [1.7e308, 0.0]], 1e308)
+    assert psd_proved(np.zeros((3, 3)), 1e-9)
+    for tol in (0.0, -1.0, np.nan):
+        assert not psd_proved(np.eye(3), tol)
+
+
+def test_psd_proved_rejects_bad_input():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        m = np.eye(4, dtype=complex)
+        m[3, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            psd_proved(m, 1e-9)
+    for shape in ((4,), (3, 4), (2, 2, 2)):
+        with pytest.raises(ValueError, match="square"):
+            psd_proved(np.zeros(shape), 1e-9)
 
 
 def test_partial_transpose_on_products():
