@@ -110,6 +110,12 @@ class Certificate:
         )
 
 
+def _require_tol(tol: float) -> None:
+    # a NaN tol fails every comparison, which would read as "within tolerance"
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
 def _choose_epsilon(b: float, d: float) -> tuple[float, tuple[float, float]]:
     if b > 0 and d > 0:
         eps = math.sqrt(d / b)
@@ -140,8 +146,10 @@ def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) ->
 
     The verdict is driven by |b - d| against tol. Points off the cone
     surfaces are still processed (the circulant algebra does not need the
-    cone law) but the certificate carries a warning.
+    cone law) but the certificate carries a warning. Raises ValueError
+    unless tol is finite and non-negative.
     """
+    _require_tol(tol)
     params.validate()
     cones = cone_residuals(params, tol=tol)
     a, b, c, d = params.a, params.b, params.c, params.d
@@ -222,8 +230,10 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
     certifies PPT entanglement. The state is accepted when a shifted Cholesky
     proves that its Hermitian part has no eigenvalue below -tol
     (`psd_proved`). Only when that proof fails does the Jacobi spectrum
-    decide, and a rejection quotes its lowest eigenvalue.
+    decide, and a rejection quotes its lowest eigenvalue. Raises ValueError
+    unless tol is finite and non-negative.
     """
+    _require_tol(tol)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != w.operator.shape:
         raise ValueError(f"expected shape {w.operator.shape}, got {rho.shape}")

@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 from collections import Counter
 from contextlib import contextmanager
 
@@ -27,7 +26,6 @@ from .spa import spa_decompose
 __all__ = ["main", "matrix_from_pairs", "matrix_to_pairs"]
 
 DEFAULT_SEED = 0
-ENV_SEED = "EWCONES_SEED"
 MAX_RESTARTS = 4096
 MAX_RESOLUTION = 512
 
@@ -80,7 +78,6 @@ def _add_witness_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--degrees", action="store_true", help="read Euler angles as degrees"
     )
-    sub.add_argument("--tol", type=float, default=DECISION_TOL, help="decision tolerance")
 
 
 def _parse_floats(tokens: list[str], count: int, flag: str) -> list[float]:
@@ -104,9 +101,12 @@ def _require_between(flag: str, value: int, lo: int, hi: int) -> None:
         raise CommandError("usage", f"{flag} must be between {lo} and {hi}, got {value}", 2)
 
 
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise CommandError("usage", f"--tol must be finite and positive, got {tol}", 2)
+
+
 def _resolve_params(args: argparse.Namespace) -> WitnessParams:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise CommandError("usage", f"--tol must be finite and positive, got {args.tol}", 2)
     if args.euler is not None:
         angles = _parse_floats(args.euler, 3, "--euler")
         args.euler = angles
@@ -119,20 +119,6 @@ def _resolve_params(args: argparse.Namespace) -> WitnessParams:
         params = WitnessParams(*values)
     params.validate()
     return params
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CommandError(
-                "validation", f"{ENV_SEED} must be an integer, got {env!r}", 3
-            ) from None
-    return DEFAULT_SEED
 
 
 def _dumps(record: dict) -> str:
@@ -168,7 +154,6 @@ def _witness_inputs(args: argparse.Namespace) -> dict:
         "parity": args.parity if args.euler is not None else None,
         "degrees": bool(args.degrees),
         "params": list(args.params) if args.params is not None else None,
-        "tol": args.tol,
     }
 
 
@@ -216,11 +201,11 @@ def _certificate_payload(cert) -> dict:
 
 def _cmd_classify(args: argparse.Namespace) -> str:
     _require_between("--restarts", args.restarts, 1, MAX_RESTARTS)
+    _require_tol(args.tol)
     params = _resolve_params(args)
-    seed = _resolve_seed(args)
     cert = certify_decomposability(params, tol=args.tol)
     w = witness_from_params(params)
-    value = block_positivity_min(w, restarts=args.restarts, seed=seed)
+    value = block_positivity_min(w, restarts=args.restarts, seed=args.seed)
     outputs = {
         "params": _params_payload(params),
         "provenance": params.provenance,
@@ -229,13 +214,14 @@ def _cmd_classify(args: argparse.Namespace) -> str:
         "block_positivity": {
             "value": value,
             "restarts": args.restarts,
-            "seed": seed,
+            "seed": args.seed,
             "note": "seeded see-saw search, evidence only",
         },
     }
     inputs = _witness_inputs(args)
+    inputs["tol"] = args.tol
     inputs["restarts"] = args.restarts
-    return _run_record("classify", inputs, outputs, [], seed)
+    return _run_record("classify", inputs, outputs, [], args.seed)
 
 
 def _geometry_rows(cones: tuple[str, ...], resolution: int) -> list[tuple]:
@@ -302,6 +288,7 @@ def _cmd_spa(args: argparse.Namespace) -> str:
 
 
 def _cmd_detect(args: argparse.Namespace) -> str:
+    _require_tol(args.tol)
     params = _resolve_params(args)
     try:
         with open(args.state) as fh:
@@ -314,6 +301,7 @@ def _cmd_detect(args: argparse.Namespace) -> str:
     w = witness_from_params(params)
     value = detect(w, rho, tol=args.tol)
     inputs = _witness_inputs(args)
+    inputs["tol"] = args.tol
     inputs["state"] = args.state
     outputs = {
         "params": _params_payload(params),
@@ -337,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "classify", help="cone membership, decomposability certificate, block positivity"
     )
     _add_witness_args(classify)
-    classify.add_argument("--seed", type=int, default=None, help="see-saw seed")
+    classify.add_argument("--tol", type=float, default=DECISION_TOL, help="decision tolerance")
+    classify.add_argument("--seed", type=int, default=DEFAULT_SEED, help="see-saw seed")
     classify.add_argument("--restarts", type=int, default=16, help="see-saw restarts")
     classify.set_defaults(handler=_cmd_classify)
 
@@ -354,6 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     det = subs.add_parser("detect", help="pair a witness with a state from a file")
     _add_witness_args(det)
+    det.add_argument("--tol", type=float, default=DECISION_TOL, help="decision tolerance")
     det.add_argument("--state", required=True, help="JSON file of [re, im] pairs")
     det.set_defaults(handler=_cmd_detect)
     return parser

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
+BD_CURVE_SAMPLES = 51
 
 VERTEX_ONE = np.array([0.5, 1.0, 0.5])
 VERTEX_TWO = np.array([1.0, 0.5, 1.0])
@@ -39,16 +40,10 @@ for _point in (VERTEX_ONE, VERTEX_TWO, AXIS_DIRECTION):
     # shared by every caller (AXIS_POINT is VERTEX_ONE), so a write must not leak
     _point.flags.writeable = False
 
-_CONE_NAMES = ("I", "II")
 
-
-def _normalize_cone(cone: str) -> str:
-    label = str(cone).strip().upper()
-    if label in ("I", "1", "ONE"):
-        return "I"
-    if label in ("II", "2", "TWO"):
-        return "II"
-    raise ValueError(f"unknown cone {cone!r}, expected 'I' or 'II'")
+def _require_cone(cone: str) -> None:
+    if cone not in ("I", "II"):
+        raise ValueError(f"unknown cone {cone!r}, expected 'I' or 'II'")
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,7 @@ def ellipse_point(cone: str, t: float, branch: str = "+") -> WitnessParams:
     Cone I's ellipse lives in the plane b + d = 2 with c = t; cone II's in
     b + d = 1 with d = t. branch picks the sign of the square-root offset.
     """
-    cone = _normalize_cone(cone)
+    _require_cone(cone)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     if branch not in ("+", "-"):
@@ -160,7 +155,7 @@ def sample_cloud(cone: str, resolution: int) -> np.ndarray:
     fractions of the way from vertex to base (excluding the vertex itself).
     resolution 2 gives exactly the vertex plus the two base points.
     """
-    cone = _normalize_cone(cone)
+    _require_cone(cone)
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     vertex = VERTEX_ONE if cone == "I" else VERTEX_TWO
@@ -170,22 +165,20 @@ def sample_cloud(cone: str, resolution: int) -> np.ndarray:
     return np.concatenate([vertex[None, :], rows.reshape(-1, 3)])
 
 
-def bd_curve(cone: str, samples: int = 51) -> list[WitnessParams]:
-    """Decomposable members (b = d) on one cone: its two generator lines."""
-    cone = _normalize_cone(cone)
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
+def bd_curve(cone: str) -> list[WitnessParams]:
+    """Decomposable members (b = d) on one cone: BD_CURVE_SAMPLES on each generator line."""
+    _require_cone(cone)
     out: list[WitnessParams] = []
-    us = np.linspace(0.5, 1.0, samples)
+    us = np.linspace(0.5, 1.0, BD_CURVE_SAMPLES)
     if cone == "I":
         for u in us:
             out.append(_bd_point(cone, 2.0 - 2.0 * u, u, 1.0))
-        for cc in np.linspace(0.0, 1.0, samples):
+        for cc in np.linspace(0.0, 1.0, BD_CURVE_SAMPLES):
             out.append(_bd_point(cone, 1.0, (2.0 - cc) / 2.0, cc))
     else:
         for u in us:
             out.append(_bd_point(cone, 2.5 - 2.0 * u, u, 0.5))
-        for cc in np.linspace(0.5, 1.5, samples):
+        for cc in np.linspace(0.5, 1.5, BD_CURVE_SAMPLES):
             out.append(_bd_point(cone, 0.5, (5.0 - 2.0 * cc) / 4.0, cc))
     return out
 

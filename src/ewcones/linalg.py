@@ -59,14 +59,16 @@ def _require_square_finite(m: np.ndarray) -> np.ndarray:
 
 
 def _scaled_to_unit(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """a times 2**-e, with e the power of two that puts its largest entry in [1/2, 1).
+    """a times 2**-e, with e the power of two that puts its largest entry in [1/4, 1).
 
+    e comes from the largest real or imaginary part, as a modulus can overflow.
     The scaled norm cannot overflow or underflow, and away from subnormals
     every rounding step scales exactly with 2**e, so results scale back
     exactly. Returns the scaled array and e.
     """
-    exponent = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
-    return np.ldexp(np.ascontiguousarray(a).view(float), -exponent).view(complex), exponent
+    parts = np.ascontiguousarray(a).view(float)
+    exponent = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1] + 1
+    return np.ldexp(parts, -exponent).view(complex), exponent
 
 
 def _off_diagonal_mass(a: np.ndarray) -> float:
@@ -178,7 +180,9 @@ def hermitian_eig(m: np.ndarray) -> EigenResult:
             flat[:: n + 1] = d
     if _off_diagonal_mass(a) > threshold:
         raise np.linalg.LinAlgError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-    return EigenResult(np.sort(np.ldexp(np.diag(a).real, exponent), kind="stable"))
+    with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is +-inf
+        values = np.ldexp(np.diag(a).real, exponent)
+    return EigenResult(np.sort(values, kind="stable"))
 
 
 def psd_proved(m: np.ndarray, tol: float) -> bool:

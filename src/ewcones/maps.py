@@ -78,16 +78,19 @@ class OrthogonalEmbedding:
         return r
 
 
-def embedding_from_block(block: np.ndarray, n: int = 4) -> OrthogonalEmbedding:
-    """Wrap an orthogonal (n-1) x (n-1) block, inferring its parity."""
+def embedding_from_block(block: np.ndarray) -> OrthogonalEmbedding:
+    """Wrap an orthogonal (n-1) x (n-1) block of M_n(C), inferring n and the parity."""
     block = np.asarray(block, dtype=float)
-    if block.shape != (n - 1, n - 1):
-        raise ValueError(f"expected shape {(n - 1, n - 1)}, got {block.shape}")
-    dev = float(np.max(np.abs(block.T @ block - np.eye(n - 1))))
+    if block.ndim != 2 or block.shape[0] != block.shape[1] or block.size == 0:
+        raise ValueError(f"expected a non-empty square block, got shape {block.shape}")
+    # checked first: NaN passes the orthogonality test and its det reads as improper
+    if not np.isfinite(block).all():
+        raise ValueError("block entries must be finite")
+    dev = float(np.max(np.abs(block.T @ block - np.eye(len(block)))))
     if dev > ORTHOGONALITY_TOL:
         raise ValueError(f"block is not orthogonal: max |B^T B - I| = {dev:.3e}")
     parity = "proper" if np.linalg.det(block) > 0 else "improper"
-    return OrthogonalEmbedding(n=n, block=block.copy(), parity=parity)
+    return OrthogonalEmbedding(n=len(block) + 1, block=block.copy(), parity=parity)
 
 
 def embedding_from_euler(
@@ -261,12 +264,8 @@ def _default_weyl_set(n: int) -> WeylSet:
     return weyl
 
 
-def twirl(w: Witness, weyl: WeylSet | None = None) -> Witness:
+def twirl(w: Witness) -> Witness:
     """Project the witness onto the span of the Weyl entangled projectors."""
-    if weyl is None:
-        weyl = _default_weyl_set(w.n)
-    if weyl.n != w.n:
-        raise ValueError(f"dimension mismatch: witness n={w.n}, weyl n={weyl.n}")
-    vecs = weyl.vectors
+    vecs = _default_weyl_set(w.n).vectors
     weights = np.einsum("ka,ab,kb->k", vecs.conj(), w.operator, vecs).real
     return Witness(n=w.n, operator=(vecs.T * weights) @ vecs.conj())

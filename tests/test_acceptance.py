@@ -37,7 +37,6 @@ from ewcones.family import (
 from ewcones.gellmann import build_basis
 from ewcones.linalg import partial_transpose
 from ewcones.maps import (
-    build_weyl_set,
     build_witness,
     choi_witness,
     embedding_from_block,
@@ -79,7 +78,6 @@ def test_criterion_02_construction_equivalence():
     problems = []
     start = time.perf_counter()
     rng = np.random.default_rng(2026)
-    weyl = build_weyl_set(4)
     worst = 0.0
     for k in range(100):
         al, be, ga = rng.uniform(0.0, 2.0 * np.pi, size=3)
@@ -89,7 +87,7 @@ def test_criterion_02_construction_equivalence():
             w_phi = build_witness(emb)
             d1 = np.linalg.norm(w_map.operator - w_phi.operator)
             w_closed = witness_from_params(abcd_from_euler(al, be, ga, parity))
-            d2 = np.linalg.norm(twirl(w_phi, weyl).operator - w_closed.operator)
+            d2 = np.linalg.norm(twirl(w_phi).operator - w_closed.operator)
             worst = max(worst, d1, d2)
             if max(d1, d2) > 1e-10 and len(problems) < 5:
                 problems.append(f"triple {k} {parity}: discrepancy {max(d1, d2):.2e}")

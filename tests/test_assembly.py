@@ -227,7 +227,7 @@ def test_probe_matches_matrix_units(epsilon):
 
 def test_decomposition_parts_match_matrix_units_on_bd_lines():
     for cone in ("I", "II"):
-        for p in bd_curve(cone, samples=9):
+        for p in bd_curve(cone):
             gram, p_op, q_op = _decomposition_parts(p.a, p.b, p.c)
             ref_p, ref_q = ref_decomposition_parts(p.a, p.b, p.c)
             assert_bitwise(p_op, ref_p)

@@ -120,7 +120,7 @@ def test_certify_reduction_gram_vanishes():
 
 def test_certify_bd_curve_members():
     for cone in ("I", "II"):
-        for p in bd_curve(cone, samples=9):
+        for p in bd_curve(cone):
             cert = certify_decomposability(p)
             assert cert.verdict == "decomposable"
             assert cert.p_psd and cert.q_psd
@@ -215,6 +215,28 @@ def test_detect_validation():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="eigenvalue -1.70+e\\+308"):
             detect(w, huge)
+
+
+def test_detect_rejects_a_pair_whose_modulus_overflows():
+    w = witness_from_params(WitnessParams(1.5, 0.5, 0.5, 0.5))
+    z = 1.5e308 * (1 + 1j)
+    rho = np.zeros((16, 16), dtype=complex)
+    rho[0, 1], rho[1, 0] = z, np.conj(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positive semidefinite: eigenvalue -inf"):
+            detect(w, rho)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_library_tol_must_be_finite_and_non_negative(tol):
+    params = WitnessParams(1.0, 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="tol"):
+        certify_decomposability(params, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        detect(witness_from_params(params), np.eye(16) / 16, tol=tol)
+    assert certify_decomposability(params, tol=0.0).verdict == "indecomposable"
+    assert detect(witness_from_params(params), np.eye(16) / 16, tol=0.0) == pytest.approx(0.75)
 
 
 def test_detect_names_non_finite_states():

@@ -127,8 +127,10 @@ def test_non_finite_params_are_validation_errors(capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
 def test_tol_must_be_finite_and_positive(capsys, tol):
-    for command in ("classify", "spa"):
-        code, rec = run(capsys, [command, "--params", "1,1,1,0", f"--tol={tol}"])
+    # the tolerance is checked before the state file is read
+    for command in ("classify", "detect --state unread.json"):
+        argv = [*command.split(), "--params", "1,1,1,0", f"--tol={tol}"]
+        code, rec = run(capsys, argv)
         assert code == 2
         assert rec["error"]["kind"] == "usage" and "--tol" in rec["error"]["message"]
 
@@ -205,14 +207,19 @@ def test_degrees_flag(capsys):
 
 
 def test_seed_resolution(capsys, monkeypatch):
-    monkeypatch.setenv("EWCONES_SEED", "11")
     code, rec = run(capsys, ["classify", "--euler", "0,0,0", "--restarts", "2"])
-    assert code == 0 and rec["seed"] == 11
+    assert code == 0 and rec["seed"] == cli.DEFAULT_SEED
+    assert rec["outputs"]["block_positivity"]["seed"] == cli.DEFAULT_SEED
     code, rec = run(capsys, ["classify", "--euler", "0,0,0", "--restarts", "2", "--seed", "4"])
     assert code == 0 and rec["seed"] == 4
+    # the seed comes from argv alone: the environment variable of earlier
+    # versions no longer changes the record
+    monkeypatch.setenv("EWCONES_SEED", "11")
+    code, rec = run(capsys, ["classify", "--euler", "0,0,0", "--restarts", "2"])
+    assert code == 0 and rec["seed"] == cli.DEFAULT_SEED
     monkeypatch.setenv("EWCONES_SEED", "pear")
-    code, rec = run(capsys, ["classify", "--euler", "0,0,0"])
-    assert code == 3 and rec["error"]["kind"] == "validation"
+    code, rec = run(capsys, ["classify", "--euler", "0,0,0", "--restarts", "2"])
+    assert code == 0 and rec["seed"] == cli.DEFAULT_SEED
 
 
 def test_geometry_json(capsys):
@@ -304,6 +311,23 @@ def test_spa_record(capsys):
     assert rec["errata_applied"] == ["spa-critical-p-sign", "spa-normalization-sign"]
     code, rec = run(capsys, ["spa", "--params", "1,1,1,0"])
     assert rec["outputs"]["p_star"] == pytest.approx(8.0 / 11.0, abs=1e-12)
+
+
+def test_only_classify_and_detect_take_tol(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["spa", "--params", "0,1,1,1", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, rec = run(capsys, ["spa", "--params", "0,1,1,1"])
+    assert code == 0 and "tol" not in rec["inputs"]
+    witness_keys = ["euler", "parity", "degrees", "params"]
+    code, rec = run(capsys, ["classify", "--params", "0,1,1,1", "--restarts", "2"])
+    assert list(rec["inputs"]) == [*witness_keys, "tol", "restarts"]
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(matrix_to_pairs(max_entangled_projector(4))))
+    code, rec = run(capsys, ["detect", "--params", "0,1,1,1", "--state", str(state)])
+    assert list(rec["inputs"]) == [*witness_keys, "tol", "state"]
+    assert rec["inputs"]["tol"] == certify.DECISION_TOL
 
 
 def test_detect_record(capsys, tmp_path):

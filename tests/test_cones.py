@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from ewcones.cones import (
     AXIS_DIRECTION,
     AXIS_POINT,
+    BD_CURVE_SAMPLES,
     VERTEX_ONE,
     VERTEX_TWO,
     bd_curve,
@@ -137,6 +138,13 @@ def test_bd_curve_on_cone_with_equal_bd():
     assert hits
 
 
+def test_bd_curve_sample_count_is_fixed():
+    for cone in ("I", "II"):
+        assert len(bd_curve(cone)) == 2 * BD_CURVE_SAMPLES
+    with pytest.raises(TypeError):
+        bd_curve("I", 9)
+
+
 def test_axis_carries_both_vertices_and_centers():
     u = AXIS_DIRECTION / np.linalg.norm(AXIS_DIRECTION)
 
@@ -159,7 +167,10 @@ def test_axis_carries_both_vertices_and_centers():
 
 
 def test_cone_name_normalization():
-    assert sample_cloud("ii", 2).shape == (3, 3)
-    assert sample_cloud("1", 2)[0] == pytest.approx(VERTEX_ONE)
-    with pytest.raises(ValueError):
-        sample_cloud("IV", 2)
+    assert sample_cloud("II", 2).shape == (3, 3)
+    assert sample_cloud("I", 2)[0] == pytest.approx(VERTEX_ONE)
+    for alias in ("IV", "ii", "1", "ONE", "2", "TWO", " I", "II "):
+        with pytest.raises(ValueError, match="unknown cone"):
+            sample_cloud(alias, 2)
+        with pytest.raises(ValueError, match="unknown cone"):
+            bd_curve(alias)

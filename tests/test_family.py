@@ -157,7 +157,7 @@ def test_n3_matches_phi_route():
     for alpha in np.linspace(0.0, 2.0 * np.pi, 17):
         s, c = np.sin(alpha), np.cos(alpha)
         block = np.array([[c, -s], [s, c]])
-        emb = embedding_from_block(block, n=3)
+        emb = embedding_from_block(block)
         phi = phi_matrix(emb)
         p = n3_abc(alpha)
         assert_allclose(2.0 * phi[0, :], [p.a, p.b, p.c], atol=1e-12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -58,6 +60,16 @@ def test_hermitian_eig_extreme_magnitudes():
     for power in (-900, -600, 600, 1000):
         scaled = hermitian_eig(m * 2.0**power)
         assert np.array_equal(scaled.values, base.values * 2.0**power)
+
+
+def test_hermitian_eig_scales_by_parts_whose_modulus_overflows():
+    # |z| overflows although its parts do not; the scaling must still apply,
+    # and the eigenvalues +-|z|, beyond the float range, come back infinite
+    z = 1.5e308 * (1 + 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = hermitian_eig(np.array([[0.0, z], [np.conj(z), 0.0]])).values
+    assert np.array_equal(values, [-np.inf, np.inf])
 
 
 def test_hermitian_eig_rejects_non_hermitian():

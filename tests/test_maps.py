@@ -41,6 +41,21 @@ def test_embedding_parity_detection():
         embedding_from_block(np.ones((3, 3)))
 
 
+def test_embedding_from_block_infers_n_and_rejects_bad_blocks():
+    assert embedding_from_block(np.eye(2)).n == 3
+    assert embedding_from_block(-np.eye(3)).n == 4
+    for bad in (np.eye(3)[:2], np.zeros((0, 0)), np.ones(3)):
+        with pytest.raises(ValueError, match="square"):
+            embedding_from_block(bad)
+    for value in (np.nan, np.inf):
+        block = np.eye(3)
+        block[1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            embedding_from_block(block)
+    with pytest.raises(TypeError):
+        embedding_from_block(np.eye(2), n=3)
+
+
 def test_embedding_rotation_shape():
     emb = embedding_from_euler(0.3, 0.7, 1.1)
     full = emb.rotation()
@@ -152,6 +167,8 @@ def test_twirl_is_projection():
     t2 = twirl(t1)
     assert np.max(np.abs(t1.operator - t2.operator)) < 1e-12
     assert np.trace(t1.operator).real == pytest.approx(12.0)
+    with pytest.raises(TypeError):
+        twirl(w, build_weyl_set(4))
 
 
 def test_max_entangled_projector():
