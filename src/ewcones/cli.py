@@ -126,6 +126,10 @@ def _dumps(record: dict) -> str:
     return json.dumps(record, indent=2, allow_nan=False)
 
 
+def _error_record(command, kind: str, message: str) -> str:
+    return _dumps({"command": command, "error": {"kind": kind, "message": message}})
+
+
 def _run_record(command, inputs, outputs, errata, seed) -> str:
     """The serialized run record: the one text printed and written to --out."""
     return _dumps({
@@ -311,15 +315,29 @@ def _cmd_detect(args: argparse.Namespace) -> str:
     return _run_record("detect", inputs, outputs, [], None)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that prints a usage record to stdout on every error.
+
+    argparse then prints its usage text to stderr and exits 2 as usual.
+    command names the subcommand the parser reads, None at the top level.
+    """
+
+    command: str | None = None
+
+    def error(self, message):
+        print(_error_record(self.command, "usage", message))
+        super().error(message)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
         prog="ewcones",
         description="rotation-family entanglement witnesses and their cone geometry",
     )
     parser.add_argument(
         "--version", action="version", version=f"ewcones {__version__}"
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     classify = subs.add_parser(
         "classify", help="cone membership, decomposability certificate, block positivity"
@@ -346,12 +364,18 @@ def _build_parser() -> argparse.ArgumentParser:
     det.add_argument("--tol", type=float, default=DECISION_TOL, help="decision tolerance")
     det.add_argument("--state", required=True, help="JSON file of [re, im] pairs")
     det.set_defaults(handler=_cmd_detect)
+    for name, sub in subs.choices.items():
+        sub.command = name
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # a subcommand's parser hands unknown arguments up to the top level
+        parser.command = args.command
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         text = args.handler(args)
     except CommandError as exc:
@@ -361,5 +385,5 @@ def main(argv=None) -> int:
     else:
         print(text)
         return 0
-    print(_dumps({"command": args.command, "error": {"kind": kind, "message": message}}))
+    print(_error_record(args.command, kind, message))
     return code

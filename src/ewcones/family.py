@@ -10,6 +10,7 @@ circulant analogue.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +52,15 @@ class WitnessParams:
 
     def validate(self):
         """Raise ValueError when a parameter is non-finite or breaks the sum or sign rules."""
-        if not np.all(np.isfinite(self.as_array())):
+        values = (self.a, self.b, self.c, self.d)
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"parameters must be finite, got {self.as_array().tolist()}")
         residual = self.a + self.b + self.c + self.d - 3.0
         if abs(residual) > PARAM_SUM_TOL:
             raise ValueError(
                 f"parameters must sum to 3, residual {residual:.3e}"
             )
-        for name, value in zip("abcd", self.as_array()):
+        for name, value in zip("abcd", values):
             if value < -PARAM_NEG_TOL:
                 raise ValueError(f"parameter {name} = {value:.3e} is negative")
             if value > 3.0 + PARAM_NEG_TOL:
@@ -194,6 +196,12 @@ def witness_from_params(params: WitnessParams) -> Witness:
     return Witness(n=4, operator=_ii_operator(_circulant(params.as_array()).ravel(), block))
 
 
+# entry (i, s) indexes the ket |i, i+s mod 4>, so column s holds the four
+# places of parameter s on the diagonal of W
+_CYCLIC_DIAGONALS = 4 * np.arange(4)[:, None] + (np.arange(4)[:, None] + np.arange(4)) % 4
+_CYCLIC_DIAGONALS.flags.writeable = False
+
+
 def params_from_witness(w: Witness) -> WitnessParams:
     """Read (a, b, c, d) back from a circulant witness.
 
@@ -203,8 +211,7 @@ def params_from_witness(w: Witness) -> WitnessParams:
     if w.n != 4:
         raise ValueError(f"parameter extraction is defined for n=4, got n={w.n}")
     op = w.operator
-    diag = np.array([[op[4 * i + j, 4 * i + j].real for j in range(4)] for i in range(4)])
-    vals = np.array([np.mean([diag[i, (i + s) % 4] for i in range(4)]) for s in range(4)])
+    vals = op.diagonal().real[_CYCLIC_DIAGONALS].mean(axis=0)
     rebuilt = witness_from_params(WitnessParams(*map(float, vals)))
     dev = float(np.max(np.abs(op - rebuilt.operator)))
     if dev > CIRCULANT_TOL:

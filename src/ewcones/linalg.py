@@ -58,6 +58,15 @@ def _require_square_finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _require_hermitian(m: np.ndarray) -> np.ndarray:
+    """m as a complex array, if square, finite and Hermitian within HERMITIAN_TOL."""
+    a = _require_square_finite(m)
+    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e}")
+    return a
+
+
 def _scaled_to_unit(a: np.ndarray) -> tuple[np.ndarray, int]:
     """a times 2**-e, with e the power of two that puts its largest entry in [1/4, 1).
 
@@ -124,10 +133,7 @@ def hermitian_eig(m: np.ndarray) -> EigenResult:
     numpy.linalg.LinAlgError (a ValueError) when JACOBI_MAX_SWEEPS sweeps
     leave the mass above that threshold.
     """
-    a = _require_square_finite(m)
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e}")
+    a = _require_hermitian(m)
     n = a.shape[0]
     if n <= 1:
         return EigenResult(np.diag(a).real.copy())
@@ -185,6 +191,18 @@ def hermitian_eig(m: np.ndarray) -> EigenResult:
     return EigenResult(np.sort(values, kind="stable"))
 
 
+def _real_embedding(a: np.ndarray) -> np.ndarray:
+    """[[X, -Y], [Y, X]] for the Hermitian X + iY that shares the lower triangle of a."""
+    n = a.shape[0]
+    lower = np.tril(a, -1)
+    h = lower + lower.conj().T + np.diag(a.diagonal().real)
+    e = np.empty((2 * n, 2 * n))
+    e[:n, :n] = e[n:, n:] = h.real
+    e[n:, :n] = h.imag
+    np.negative(h.imag, out=e[:n, n:])
+    return e
+
+
 def psd_proved(m: np.ndarray, tol: float) -> bool:
     """True only when a Cholesky factorization proves lambda_min(m) >= -tol.
 
@@ -227,10 +245,7 @@ def psd_proved(m: np.ndarray, tol: float) -> bool:
     a, exponent = _scaled_to_unit(_require_square_finite(m))
     n = a.shape[0]
     size = 2 * n
-    lower = np.tril(a, -1)
-    h = lower + lower.conj().T + np.diag(a.diagonal().real)
-    x, y = h.real, h.imag
-    e = np.block([[x, -y], [y, x]])
+    e = _real_embedding(a)
     # the scaled m has norm below n, so a tol beyond 2**bit_length(2n) claims
     # nothing more than that cap does; capping keeps the shift finite
     mantissa, tol_exponent = math.frexp(tol)

@@ -181,11 +181,27 @@ def _unit(i: int, j: int, n: int) -> np.ndarray:
     return m
 
 
+@cache
+def _circulant_index(n: int) -> np.ndarray:
+    k = np.arange(n)
+    index = (k[None, :] - k[:, None]) % n
+    index.flags.writeable = False
+    return index
+
+
 def _circulant(first_row) -> np.ndarray:
     """Matrix whose row i is first_row shifted right by i places."""
     v = np.asarray(first_row)
-    k = np.arange(len(v))
-    return v[(k[None, :] - k[:, None]) % len(v)]
+    return v[_circulant_index(len(v))]
+
+
+@cache
+def _ii_offsets(n: int) -> np.ndarray:
+    """Entry (i, j) is the flat offset of <ii| . |jj> in an n*n x n*n array."""
+    ii = np.arange(0, n * n, n + 1)
+    offsets = ii[:, None] * (n * n) + ii
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _ii_operator(diagonal, block) -> np.ndarray:
@@ -196,10 +212,10 @@ def _ii_operator(diagonal, block) -> np.ndarray:
     diagonal there) and everything else off the main diagonal is zero.
     """
     n = len(block)
+    op = np.zeros((n * n, n * n), dtype=complex)
     # adding +0.0 turns -0.0 into 0.0, so records never serialize a signed zero
-    op = np.diag(np.asarray(diagonal, dtype=complex) + 0.0)
-    ii = np.arange(0, n * n, n + 1)
-    op[np.ix_(ii, ii)] = np.asarray(block) + 0.0
+    op.flat[:: n * n + 1] = np.asarray(diagonal, dtype=complex) + 0.0
+    op.flat[_ii_offsets(n)] = np.asarray(block) + 0.0
     return op
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .certify import EVIDENCE_TOL
 from .family import WitnessParams, witness_from_params
-from .linalg import hermitian_eig, partial_transpose, psd_proved
+from .linalg import _require_hermitian, partial_transpose, psd_proved
 from .maps import Witness, _circulant, _ii_operator
 
 __all__ = [
@@ -36,9 +36,13 @@ def spa_mix(w: Witness, p: float) -> np.ndarray:
 
 
 def critical_p(w: Witness) -> float:
-    """Smallest p for which spa_mix(w, p) is positive semidefinite."""
+    """Smallest p for which spa_mix(w, p) is positive semidefinite.
+
+    Reads the lowest eigenvalue of an arbitrary Hermitian operator from
+    LAPACK, so it stays independent of the family's closed form.
+    """
     dim = w.operator.shape[0]
-    low = hermitian_eig(w.operator).values[0] / w.trace()
+    low = np.linalg.eigvalsh(_require_hermitian(w.operator))[0] / w.trace()
     if low >= 0:
         return 0.0
     return float(-low / (1.0 / dim - low))
@@ -82,15 +86,17 @@ def _pair_support_ok(sigma: np.ndarray, i: int, j: int) -> bool:
 
 
 @cache
-def _pair_terms() -> tuple[tuple[tuple[tuple[int, int], np.ndarray], ...], bool]:
-    """The six read-only pair terms and whether all are PSD and PPT on their supports.
+def _pair_terms() -> tuple[tuple[tuple[tuple[int, int], np.ndarray], ...], np.ndarray, bool]:
+    """The six read-only pair terms, their sum, and whether all are PSD and PPT on their supports.
 
-    Neither depends on (a, b, c, d), so both are built and checked once.
+    None of these depends on (a, b, c, d), so all are built and checked once.
     """
     pairs = tuple(((i, j), _pair_term(i, j)) for i, j in combinations(range(4), 2))
+    total = sum(sigma for _, sigma in pairs)
+    total.flags.writeable = False
     for _, sigma in pairs:
         sigma.flags.writeable = False
-    return pairs, all(_pair_support_ok(sigma, i, j) for (i, j), sigma in pairs)
+    return pairs, total, all(_pair_support_ok(sigma, i, j) for (i, j), sigma in pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +130,9 @@ def spa_decompose(params: WitnessParams) -> SpaResult:
     mixed = spa_mix(w, p_star)
     slacks = spa3_check(params)
 
-    pairs, pairs_ok = _pair_terms()
+    pairs, pair_sum, pairs_ok = _pair_terms()
     diag = _ii_operator(_circulant([0.0, *slacks]).ravel(), np.zeros((4, 4)))
-    total = sum(sigma for _, sigma in pairs) + diag
+    total = pair_sum + diag
 
     norm = 1.0 / (4.0 * (15.0 - 4.0 * a))
     error = float(np.max(np.abs(mixed - norm * total)))

@@ -5,12 +5,16 @@ span{|ii>}. The reference implementations below build the same operators
 the long way, as sums of Kronecker products of matrix units, and the
 assembled arrays must match them bit for bit. The same holds for the closed
 Euler forms, written out once per parity, and for the sample clouds, built
-row by row.
+row by row. Where an assembly step was rewritten for speed (index tables,
+slice-built embeddings, cached sums), the earlier form is kept below as the
+reference and the two must agree bit for bit as well.
 """
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from ewcones import maps, spa
+from ewcones import certify, family, linalg, maps, spa
 from ewcones.certify import _decomposition_parts, probe_state
 from ewcones.cones import (
     AXIS_DIRECTION,
@@ -19,8 +23,14 @@ from ewcones.cones import (
     VERTEX_TWO,
     bd_curve,
     sample_cloud,
+    special_points,
 )
-from ewcones.family import WitnessParams, abcd_from_euler, witness_from_params
+from ewcones.family import (
+    WitnessParams,
+    abcd_from_euler,
+    params_from_witness,
+    witness_from_params,
+)
 from ewcones.gellmann import build_basis, diag_expectations
 from ewcones.maps import build_weyl_set, build_witness, embedding_from_euler, twirl
 
@@ -292,3 +302,138 @@ def test_spa_results_do_not_share_mutable_state():
     assert_bitwise(second.sigma_diag, ref_sigma_diag(second.slacks))
     assert second.reconstruction_error < 1e-12
     assert second.pairs_separable
+
+
+# The earlier forms of the rewritten assembly steps, kept as references.
+
+
+def ref_real_embedding(a):
+    lower = np.tril(a, -1)
+    h = lower + lower.conj().T + np.diag(a.diagonal().real)
+    x, y = h.real, h.imag
+    return np.block([[x, -y], [y, x]])
+
+
+def ref_ii_operator(diagonal, block):
+    n = len(block)
+    op = np.diag(np.asarray(diagonal, dtype=complex) + 0.0)
+    ii = np.arange(0, n * n, n + 1)
+    op[np.ix_(ii, ii)] = np.asarray(block) + 0.0
+    return op
+
+
+def ref_params_from_witness(op):
+    diag = np.array([[op[4 * i + j, 4 * i + j].real for j in range(4)] for i in range(4)])
+    return np.array([np.mean([diag[i, (i + s) % 4] for i in range(4)]) for s in range(4)])
+
+
+def with_signed_zeros(rng, shape, dtype):
+    m = rng.standard_normal(shape)
+    if dtype is complex:
+        m = m + 1j * rng.standard_normal(shape)
+    zeros = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.0)])
+    if dtype is float:
+        zeros = zeros.real
+    mask = rng.random(shape) < 0.3
+    m[mask] = rng.choice(zeros, size=int(mask.sum()))
+    return m
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_real_embedding_matches_block_form(dtype):
+    rng = np.random.default_rng(75)
+    for n in range(1, 17):
+        for _ in range(4):
+            m = with_signed_zeros(rng, (n, n), dtype)
+            # psd_proved embeds the scaled complex copy of m
+            a, _ = linalg._scaled_to_unit(linalg._require_square_finite(m))
+            for h in (a, a + a.conj().T):
+                assert_bitwise(linalg._real_embedding(h), ref_real_embedding(h))
+
+
+def test_ii_operator_matches_diag_and_ix_on_every_built_operator(monkeypatch):
+    real = maps._ii_operator
+    calls = []
+
+    def checked(diagonal, block, caller="test"):
+        op = real(diagonal, block)
+        assert_bitwise(op, ref_ii_operator(diagonal, block))
+        calls.append((caller, len(block)))
+        return op
+
+    for module in (maps, family, certify, spa):
+        name = module.__name__
+        monkeypatch.setattr(module, "_ii_operator", lambda d, b, name=name: checked(d, b, name))
+    for p in family_sample():
+        witness_from_params(p)
+        spa.spa_decompose(p)
+    for parity in ("proper", "improper"):
+        build_witness(embedding_from_euler(0.4, -1.3, 2.9, parity=parity))
+    for n in range(2, 6):
+        maps.max_entangled_projector(n)
+    for epsilon in (2.0**-20, 0.3, 1.0, 2.0**20):
+        probe_state(epsilon)
+    for cone in ("I", "II"):
+        for p in bd_curve(cone):
+            _decomposition_parts(p.a, p.b, p.c)
+    _decomposition_parts(1.2, -0.0, 1.8)
+    for i, j in combinations(range(4), 2):
+        spa._pair_term(i, j)
+    assert {caller for caller, _ in calls} == {m.__name__ for m in (maps, family, certify, spa)}
+    assert {n for _, n in calls} == {2, 3, 4, 5}
+    # blocks and diagonals with signed zeros, real and complex, on other sizes too
+    rng = np.random.default_rng(76)
+    for n in range(1, 7):
+        for dtype in (float, complex):
+            diagonal = with_signed_zeros(rng, n * n, dtype)
+            block = with_signed_zeros(rng, (n, n), dtype)
+            checked(diagonal, block)
+            checked(list(diagonal), block.tolist())
+
+
+def test_params_from_witness_matches_list_comprehension():
+    rng = np.random.default_rng(77)
+    ops = []
+    for parity in ("proper", "improper"):
+        for _ in range(100):
+            emb = embedding_from_euler(*rng.uniform(0, 2 * np.pi, 3), parity=parity)
+            ops.append(twirl(build_witness(emb)).operator)
+    ops += [witness_from_params(p).operator for p in family_sample()]
+    ops += [witness_from_params(sp.params).operator for sp in special_points()]
+    # a = 0 puts zeros on the |ii> diagonal; sign some of them
+    for signs in ((-0.0, -0.0, -0.0, -0.0), (-0.0, 0.0, -0.0, 0.0)):
+        op = witness_from_params(WitnessParams(0.0, 1.0, 1.0, 1.0)).operator
+        op[np.arange(0, 16, 5), np.arange(0, 16, 5)] = [complex(z, z) for z in signs]
+        ops.append(op)
+    for op in ops:
+        params = params_from_witness(maps.Witness(n=4, operator=op))
+        assert_bitwise(params.as_array(), ref_params_from_witness(op))
+
+
+def test_pair_sum_matches_summed_pair_terms():
+    pairs, pair_sum, _ = spa._pair_terms()
+    assert_bitwise(pair_sum, sum(sigma for _, sigma in pairs))
+    assert_bitwise(pair_sum, sum(ref_pair_term(i, j) for i, j in combinations(range(4), 2)))
+    with pytest.raises(ValueError):
+        pair_sum[0, 0] = 5.0
+    for p in family_sample():
+        res = spa.spa_decompose(p)
+        total = sum(sigma for _, sigma in res.sigma_pairs) + res.sigma_diag
+        error = float(np.max(np.abs(res.mixed_operator - res.normalization * total)))
+        assert res.reconstruction_error == error
+
+
+def accuracy_sample():
+    sample = [sp.params for sp in special_points()]
+    for cone in ("I", "II"):
+        sample += bd_curve(cone)
+        sample += [WitnessParams(3.0 - b - c - d, b, c, d) for b, c, d in sample_cloud(cone, 16)]
+    return sample
+
+
+def test_critical_p_agrees_with_closed_form_on_cones_and_special_points():
+    sample = accuracy_sample()
+    assert len(sample) > 2 * 16 * 16
+    for p in sample:
+        w = witness_from_params(p)
+        assert abs(spa.critical_p(w) - spa.critical_p_from_a(p.a)) <= 1e-12

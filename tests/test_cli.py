@@ -189,6 +189,50 @@ def test_usage_errors():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["classify", "--params", "1,1,1,0", "--bogus"], "--bogus"),
+        (["spa", "--params", "0,1,1,1", "--tol", "1e-9"], "--tol 1e-9"),
+        (["detect", "--params", "0,1,1,1"], "--state"),
+    ],
+)
+def test_argparse_errors_print_one_usage_record(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    # the whole of stdout is one strict JSON document
+    rec = json.loads(captured.out, parse_constant=reject)
+    assert rec["command"] == argv[0]
+    assert set(rec) == {"command", "error"}
+    assert rec["error"]["kind"] == "usage" and named in rec["error"]["message"]
+    # argparse's own usage text still goes to stderr
+    assert rec["error"]["message"] in captured.err
+
+
+def test_top_level_argparse_errors_print_a_record_without_command(capsys):
+    for argv in ([], ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["command"] is None and rec["error"]["kind"] == "usage"
+
+
+def test_help_exits_zero_with_its_text(capsys):
+    for argv in (["--help"], ["spa", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: ewcones") and "error" not in out
+
+
 def test_wrong_arity_is_usage_error(capsys):
     code, rec = run(capsys, ["classify", "--euler", "0,0"])
     assert code == 2

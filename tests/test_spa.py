@@ -50,6 +50,29 @@ def test_critical_p_boundary_behavior():
     assert critical_p(Witness(n=4, operator=np.eye(16))) == 0.0
 
 
+def test_critical_p_keeps_its_input_checks():
+    op = witness_from_params(WitnessParams(1.0, 1.0, 1.0, 0.0)).operator
+    nan = op.copy()
+    nan[3, 7] = np.nan
+    with pytest.raises(ValueError, match=r"^matrix entries must be finite$"):
+        critical_p(Witness(n=4, operator=nan))
+    skew = op.copy()
+    skew[0, 5] += 1e-8
+    with pytest.raises(ValueError) as exc:
+        critical_p(Witness(n=4, operator=skew))
+    assert str(exc.value) == "matrix is not Hermitian: max |m - m^dagger| = 1.000e-08"
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(16, 15\)$"):
+        critical_p(Witness(n=4, operator=op[:, :15]))
+
+
+def test_critical_p_is_exactly_zero_on_psd_operators():
+    for scale in (1.0, 2.0**-40, 3.0, 2.0**40):
+        assert critical_p(Witness(n=4, operator=scale * np.eye(16))) == 0.0
+    assert critical_p(Witness(n=4, operator=np.eye(16, dtype=complex))) == 0.0
+    noise = spa_mix(witness_from_params(WitnessParams(1.0, 1.0, 1.0, 0.0)), 1.0)
+    assert critical_p(Witness(n=4, operator=noise)) == 0.0
+
+
 def test_spa3_frozen_slacks():
     assert spa3_check(WitnessParams(1.0, 1.0, 1.0, 0.0)) == pytest.approx((2.0, 2.0, 1.0))
     assert spa3_check(WitnessParams(1.0, 1.0, 0.0, 1.0)) == pytest.approx((2.0, 1.0, 2.0))
