@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,22 +45,24 @@ class PptProbe:
 def probe_state(epsilon: float) -> PptProbe:
     """Unnormalized PPT probe with weights (1, eps, 1, 1/eps) per row cycle.
 
-    Positivity and positivity of the partial transpose are checked at
-    construction for every epsilon, each to within EVIDENCE_TOL: a shifted
-    Cholesky proves the check where it can (`psd_proved`), and where it
-    cannot, as for eps far from 1, the Jacobi spectrum decides it and its
-    lowest eigenvalue is quoted if the check fails.
+    The state is an all-ones block on span{|ii>} plus a positive diagonal,
+    so it is PSD. Its partial transpose is the |ii> diagonal of ones plus
+    2 x 2 blocks [[w, 1], [1, w']] on {|ij>, |ji>}, with w and w' the weights
+    j - i and i - j (mod 4). Each block is PSD to within EVIDENCE_TOL iff
+    (w + tol)(w' + tol) >= 1, decided in exact rationals, as the float
+    product 49 * (1/49) rounds to 0.9999999999999999.
     """
     if not (epsilon > 0 and math.isfinite(epsilon) and math.isfinite(1.0 / epsilon)):
         raise ValueError(f"epsilon must be positive, with epsilon and 1/epsilon finite, got {epsilon}")
     weights = (1.0, float(epsilon), 1.0, 1.0 / float(epsilon))
     rho = _ii_operator(_circulant(weights).ravel(), np.ones((4, 4)))
-    for m, name in ((rho, "probe"), (partial_transpose(rho, 4, 4), "partial transpose")):
-        if psd_proved(m, EVIDENCE_TOL):
-            continue
-        low = hermitian_eig(m).values[0]
-        if low < -EVIDENCE_TOL:
-            raise ValueError(f"{name} failed positivity at eps={epsilon}: {low:.3e}")
+    tol = Fraction(EVIDENCE_TOL)
+    for k in (1, 2):
+        if (Fraction(weights[k]) + tol) * (Fraction(weights[-k]) + tol) < 1:
+            raise ValueError(
+                f"partial transpose failed positivity at eps={epsilon}: "
+                f"block [[{weights[k]!r}, 1], [1, {weights[-k]!r}]]"
+            )
     return PptProbe(epsilon=float(epsilon), state=rho)
 
 

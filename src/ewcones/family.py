@@ -57,9 +57,7 @@ class WitnessParams:
             raise ValueError(f"parameters must be finite, got {self.as_array().tolist()}")
         residual = self.a + self.b + self.c + self.d - 3.0
         if abs(residual) > PARAM_SUM_TOL:
-            raise ValueError(
-                f"parameters must sum to 3, residual {residual:.3e}"
-            )
+            raise ValueError(f"parameters must sum to 3, residual {residual:.3e}")
         for name, value in zip("abcd", values):
             if value < -PARAM_NEG_TOL:
                 raise ValueError(f"parameter {name} = {value:.3e} is negative")
@@ -208,16 +206,14 @@ def params_from_witness(w: Witness) -> WitnessParams:
     Averages the cyclic diagonals of the diagonal blocks and checks that the
     witness actually has the circulant block structure within CIRCULANT_TOL.
     """
-    if w.n != 4:
-        raise ValueError(f"parameter extraction is defined for n=4, got n={w.n}")
     op = w.operator
+    if w.n != 4 or op.shape != (16, 16):
+        raise ValueError(f"expected n=4 and a 16 x 16 operator, got n={w.n} and shape {op.shape}")
     vals = op.diagonal().real[_CYCLIC_DIAGONALS].mean(axis=0)
     rebuilt = witness_from_params(WitnessParams(*map(float, vals)))
     dev = float(np.max(np.abs(op - rebuilt.operator)))
     if dev > CIRCULANT_TOL:
-        raise ValueError(
-            f"witness is not circulant within {CIRCULANT_TOL:.1e}: deviation {dev:.3e}"
-        )
+        raise ValueError(f"witness is not circulant within {CIRCULANT_TOL:.1e}: deviation {dev:.3e}")
     return WitnessParams(*map(float, vals), provenance={"kind": "extracted"})
 
 

@@ -175,12 +175,6 @@ class Witness:
         return float(np.trace(self.operator).real)
 
 
-def _unit(i: int, j: int, n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
 @cache
 def _circulant_index(n: int) -> np.ndarray:
     k = np.arange(n)
@@ -237,9 +231,10 @@ def choi_witness(kmap: KossakowskiMap) -> Witness:
     """Witness n(n-1) (id x map) applied to the maximally entangled projector."""
     n = kmap.n
     w = np.zeros((n * n, n * n), dtype=complex)
+    units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)  # units[i, j] = |i><j|
     for i in range(n):
         for j in range(n):
-            w += np.kron(_unit(i, j, n), kmap.apply(_unit(i, j, n)))
+            w += np.kron(units[i, j], kmap.apply(units[i, j]))
     return Witness(n=n, operator=w * (n - 1))
 
 

@@ -27,22 +27,29 @@ __all__ = [
 ]
 
 
+def _positive_trace(w: Witness) -> float:
+    if not (trace := w.trace()) > 0:
+        raise ValueError(f"witness trace must be positive, got {trace}")
+    return trace
+
+
 def spa_mix(w: Witness, p: float) -> np.ndarray:
-    """Convex mixture (1 - p) W / Tr W + p I / dim."""
+    """Convex mixture (1 - p) W / Tr W + p I / dim; raises ValueError unless Tr W > 0."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
     dim = w.operator.shape[0]
-    return (1.0 - p) * w.operator / w.trace() + (p / dim) * np.eye(dim)
+    return (1.0 - p) * w.operator / _positive_trace(w) + (p / dim) * np.eye(dim)
 
 
 def critical_p(w: Witness) -> float:
     """Smallest p for which spa_mix(w, p) is positive semidefinite.
 
     Reads the lowest eigenvalue of an arbitrary Hermitian operator from
-    LAPACK, so it stays independent of the family's closed form.
+    LAPACK, so it stays independent of the family's closed form. Raises
+    ValueError unless Tr W > 0.
     """
     dim = w.operator.shape[0]
-    low = np.linalg.eigvalsh(_require_hermitian(w.operator))[0] / w.trace()
+    low = np.linalg.eigvalsh(_require_hermitian(w.operator))[0] / _positive_trace(w)
     if low >= 0:
         return 0.0
     return float(-low / (1.0 / dim - low))
@@ -123,9 +130,8 @@ def spa_decompose(params: WitnessParams) -> SpaResult:
     triple. Rescaled by the normalization this reproduces spa_mix at the
     critical parameter.
     """
-    params.validate()
     a = params.a
-    w = witness_from_params(params)
+    w = witness_from_params(params)  # validates params
     p_star = critical_p_from_a(a)
     mixed = spa_mix(w, p_star)
     slacks = spa3_check(params)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -329,20 +330,43 @@ def test_detect_and_probe_match_the_jacobi_reference():
         assert probe.epsilon == eps
 
 
-def test_probe_check_failure_keeps_the_jacobi_message(monkeypatch):
-    # a probe matrix with a negative diagonal entry, so both checks fail
-    def spoiled(diagonal, block):
-        op = ii_operator(diagonal, block)
-        op[0, 0] = -1.0
-        return op
-
-    ii_operator = certify._ii_operator
-    monkeypatch.setattr(certify, "_ii_operator", spoiled)
-    expected = outcome(jacobi_probe_checks, spoiled(np.ones(16), np.ones((4, 4))), 1.0)
-    assert expected.startswith("probe failed positivity at eps=1.0: -")
+def test_probe_check_failure_names_the_failing_block(monkeypatch):
+    # with no tolerance, the float weights 49 and 1/49 give a block
+    # [[49, 1], [1, 1/49]] whose exact determinant is negative
+    assert Fraction(49.0) * Fraction(1.0 / 49.0) < 1
+    probe_state(49.0)
+    monkeypatch.setattr(certify, "EVIDENCE_TOL", 0.0)
+    probe_state(1.0)  # the singular all-ones blocks still pass at tol = 0
     with pytest.raises(ValueError) as error:
-        probe_state(1.0)
-    assert str(error.value) == expected
+        probe_state(49.0)
+    assert str(error.value) == (
+        "partial transpose failed positivity at eps=49.0: "
+        "block [[49.0, 1], [1, 0.02040816326530612]]"
+    )
+
+
+def test_probe_checks_follow_the_block_rule_without_a_solver(monkeypatch):
+    def no_solver(*args):
+        raise AssertionError("a probe check ran a numerical PSD test")
+
+    monkeypatch.setattr(certify, "psd_proved", no_solver)
+    monkeypatch.setattr(certify, "hermitian_eig", no_solver)
+    tol = Fraction(EVIDENCE_TOL)
+    ii = [5 * i for i in range(4)]
+    for eps in [2.0**k for k in range(-60, 61)] + [49.0, 3.3e5, 1e150, 1e-150]:
+        rho = probe_state(eps).state
+        pt = partial_transpose(rho, 4, 4)
+        # the |ii> diagonal of ones plus one 2 x 2 block per pair i < j
+        rebuilt = np.zeros((16, 16), dtype=complex)
+        rebuilt[ii, ii] = 1.0
+        for i in range(4):
+            for j in range(i + 1, 4):
+                idx = np.ix_([4 * i + j, 4 * j + i], [4 * i + j, 4 * j + i])
+                (w, one), (one_t, w_t) = block = pt[idx]
+                assert one == one_t == 1.0 and w.imag == w_t.imag == 0.0
+                assert (Fraction(w.real) + tol) * (Fraction(w_t.real) + tol) >= 1
+                rebuilt[idx] = block
+        assert np.array_equal(pt, rebuilt)
 
 
 def test_detect_proves_a_psd_state_without_jacobi(monkeypatch):

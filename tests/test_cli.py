@@ -9,7 +9,6 @@ import pytest
 from ewcones import __version__, certify, cli
 from ewcones.cli import main, matrix_from_pairs, matrix_to_pairs
 from ewcones.family import abcd_from_euler
-from ewcones.linalg import psd_proved
 from ewcones.maps import embedding_from_euler, max_entangled_projector
 
 
@@ -160,22 +159,17 @@ def test_records_are_strict_json(capsys, monkeypatch, tmp_path):
 
 
 def test_classify_serializes_the_certificate_probe(capsys, monkeypatch):
-    calls = []
+    def no_solver(*args):
+        raise AssertionError("the probe's positivity is read off its structure")
 
-    def counting_proof(m, tol):
-        calls.append(np.shape(m))
-        return psd_proved(m, tol)
-
-    def no_eig(m):
-        raise AssertionError("both probe checks at eps = 0.5 are proved")
-
-    monkeypatch.setattr(certify, "psd_proved", counting_proof)
-    monkeypatch.setattr(certify, "hermitian_eig", no_eig)
+    # neither the probe checks nor anything else in this classify run
+    # asks a numerical PSD test
+    monkeypatch.setattr(certify, "psd_proved", no_solver)
+    monkeypatch.setattr(certify, "hermitian_eig", no_solver)
     code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--restarts", "2"])
     assert code == 0
-    # the probe and its partial transpose are checked once, by the certificate
-    assert calls == [(16, 16), (16, 16)]
     cert = rec["outputs"]["certificate"]
+    assert cert["epsilon"] == 0.5
     monkeypatch.undo()
     assert cert["probe_matrix"] == matrix_to_pairs(certify.probe_state(cert["epsilon"]).state)
 
@@ -237,6 +231,16 @@ def test_wrong_arity_is_usage_error(capsys):
     code, rec = run(capsys, ["classify", "--euler", "0,0"])
     assert code == 2
     assert rec["error"]["kind"] == "usage"
+
+
+def test_params_pieces_parse_or_give_a_usage_record(capsys):
+    code, rec = run(capsys, ["classify", "--params", "1,x,1,0"])
+    assert code == 2
+    assert rec["error"] == {"kind": "usage", "message": "--params expects numbers, got 'x'"}
+    # an empty piece between commas is skipped, not read as a value
+    code, rec = run(capsys, ["classify", "--params", "1,,1,1,0", "--restarts", "2"])
+    assert code == 0
+    assert rec["inputs"]["params"] == [1.0, 1.0, 1.0, 0.0]
 
 
 def test_degrees_flag(capsys):

@@ -18,6 +18,7 @@ from ewcones.maps import (
     embedding_from_block,
     embedding_from_euler,
     euler_rotation,
+    Witness,
     phi_matrix,
     twirl,
 )
@@ -36,6 +37,12 @@ def test_params_validate():
         WitnessParams(1.0, 1.0, 1.0, 1.0).validate()
     with pytest.raises(ValueError, match="negative"):
         WitnessParams(2.2, 1.0, 0.0, -0.2).validate()
+
+
+def test_params_validate_rejects_a_parameter_above_3():
+    # the sum and sign rules both pass within their tolerances
+    with pytest.raises(ValueError, match="a = 3.000e[+]00 exceeds 3"):
+        WitnessParams(3.0 + 2e-10, -6e-11, -6e-11, -6e-11).validate()
 
 
 def test_abcd_frozen_points():
@@ -106,6 +113,26 @@ def test_params_from_witness_rejects_non_circulant():
 
     with pytest.raises(ValueError):
         params_from_witness(Witness(n=4, operator=op))
+
+
+def test_params_from_witness_checks_n_shape_and_circulance():
+    op = witness_from_params(WitnessParams(1.5, 0.5, 0.5, 0.5)).operator
+    for n, bad in ((4, np.eye(9)), (4, op[:, :15]), (3, op)):
+        with pytest.raises(ValueError, match="^expected n=4 and a 16 x 16 operator"):
+            params_from_witness(Witness(n=n, operator=bad))
+    # the cyclic diagonal averages stay valid parameters, so the circulance
+    # check decides: an off-diagonal entry, and two places of a that cancel
+    for rows, cols, shifts in (([0], [5], [0.5]), ([0, 5], [0, 5], [0.1, -0.1])):
+        bad = op.copy()
+        bad[rows, cols] += shifts
+        with pytest.raises(ValueError, match="^witness is not circulant"):
+            params_from_witness(Witness(n=4, operator=bad))
+
+
+def test_appendix_entries_rejects_a_block_that_is_not_3x3():
+    for shape in ((4, 4), (3,), (3, 2)):
+        with pytest.raises(ValueError, match="expected a 3 x 3 block"):
+            appendix_entries(np.zeros(shape))
 
 
 def test_appendix_matches_phi():

@@ -18,6 +18,11 @@ def test_is_hermitian():
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_is_hermitian_is_false_for_non_square_input():
+    for shape in ((2, 3), (4,), (2, 2, 2)):
+        assert not is_hermitian(np.zeros(shape))
+
+
 def test_hermitian_eig_matches_lapack():
     rng = np.random.default_rng(1)
     for n in (2, 3, 4, 8, 16):
@@ -175,6 +180,13 @@ def test_partial_transpose_involution():
     rng = np.random.default_rng(6)
     m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     assert_allclose(partial_transpose(partial_transpose(m, 4, 4), 4, 4), m)
+
+
+def test_partial_transpose_rejects_bad_shapes():
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(4, 3\)$"):
+        partial_transpose(np.zeros((4, 3)), 2, 2)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 \* 2 != 6$"):
+        partial_transpose(np.eye(6), 2, 2)
 
 
 def test_partial_transpose_flags_bell_state():

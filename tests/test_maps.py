@@ -71,6 +71,11 @@ def test_embedding_from_euler_improper_negates():
     assert_allclose(emb.block, -euler_rotation(0.3, 0.7, 1.1))
 
 
+def test_embedding_from_euler_rejects_unknown_parity():
+    with pytest.raises(ValueError, match="parity must be 'proper' or 'improper', got 'mirror'"):
+        embedding_from_euler(0.3, 0.7, 1.1, parity="mirror")
+
+
 def test_map_is_unital_and_trace_preserving():
     rng = np.random.default_rng(13)
     kmap = map_from_embedding(embedding_from_euler(*random_angles(rng)))

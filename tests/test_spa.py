@@ -8,6 +8,8 @@ from ewcones.family import WitnessParams, abcd_from_euler, witness_from_params
 from ewcones.linalg import partial_transpose
 from ewcones.maps import Witness
 from ewcones.spa import (
+    _pair_support_ok,
+    _pair_term,
     critical_p,
     critical_p_from_a,
     spa3_check,
@@ -73,6 +75,16 @@ def test_critical_p_is_exactly_zero_on_psd_operators():
     assert critical_p(Witness(n=4, operator=noise)) == 0.0
 
 
+def test_critical_p_and_spa_mix_need_a_positive_trace():
+    # a zero trace would divide to NaN and a negative one would flip the mixture
+    for op in (np.zeros((16, 16)), -np.eye(16)):
+        w = Witness(n=4, operator=op)
+        with pytest.raises(ValueError, match="^witness trace must be positive, got "):
+            critical_p(w)
+        with pytest.raises(ValueError, match="^witness trace must be positive, got "):
+            spa_mix(w, 0.5)
+
+
 def test_spa3_frozen_slacks():
     assert spa3_check(WitnessParams(1.0, 1.0, 1.0, 0.0)) == pytest.approx((2.0, 2.0, 1.0))
     assert spa3_check(WitnessParams(1.0, 1.0, 0.0, 1.0)) == pytest.approx((2.0, 1.0, 2.0))
@@ -115,6 +127,13 @@ def test_spa_pair_terms_ppt():
         assert i < j
         assert np.linalg.eigvalsh(sigma)[0] >= -1e-12
         assert np.linalg.eigvalsh(partial_transpose(sigma, 4, 4))[0] >= -1e-12
+
+
+def test_pair_support_check_rejects_a_term_off_its_block():
+    sigma = _pair_term(0, 1)
+    assert _pair_support_ok(sigma, 0, 1)
+    # the term's entries at |01>, |10> lie outside the block of the pair (0, 2)
+    assert not _pair_support_ok(sigma, 0, 2)
 
 
 def test_spa_diag_weights_are_slacks():
