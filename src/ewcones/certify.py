@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -42,6 +41,24 @@ class PptProbe:
     state: np.ndarray
 
 
+def _require_psd_block(epsilon: float, w: float, w_t: float) -> None:
+    """Raise unless [[w, 1], [1, w_t]] is PSD to within EVIDENCE_TOL.
+
+    For positive w and w_t that holds iff (w + tol)(w_t + tol) >= 1. The
+    inequality is decided exactly, on the integer ratios of the three
+    floats, as the float product 49 * (1/49) rounds to 0.9999999999999999.
+    """
+    p, q = w.as_integer_ratio()
+    p_t, q_t = w_t.as_integer_ratio()
+    t, u = EVIDENCE_TOL.as_integer_ratio()
+    # (p/q + t/u)(p_t/q_t + t/u) >= 1, times the positive q q_t u^2
+    if (p * u + t * q) * (p_t * u + t * q_t) < q * q_t * u * u:
+        raise ValueError(
+            f"partial transpose failed positivity at eps={epsilon}: "
+            f"block [[{w!r}, 1], [1, {w_t!r}]]"
+        )
+
+
 def probe_state(epsilon: float) -> PptProbe:
     """Unnormalized PPT probe with weights (1, eps, 1, 1/eps) per row cycle.
 
@@ -49,20 +66,14 @@ def probe_state(epsilon: float) -> PptProbe:
     so it is PSD. Its partial transpose is the |ii> diagonal of ones plus
     2 x 2 blocks [[w, 1], [1, w']] on {|ij>, |ji>}, with w and w' the weights
     j - i and i - j (mod 4). Each block is PSD to within EVIDENCE_TOL iff
-    (w + tol)(w' + tol) >= 1, decided in exact rationals, as the float
-    product 49 * (1/49) rounds to 0.9999999999999999.
+    (w + tol)(w' + tol) >= 1, which is decided in Python integers, exactly.
     """
     if not (epsilon > 0 and math.isfinite(epsilon) and math.isfinite(1.0 / epsilon)):
         raise ValueError(f"epsilon must be positive, with epsilon and 1/epsilon finite, got {epsilon}")
     weights = (1.0, float(epsilon), 1.0, 1.0 / float(epsilon))
     rho = _ii_operator(_circulant(weights).ravel(), np.ones((4, 4)))
-    tol = Fraction(EVIDENCE_TOL)
     for k in (1, 2):
-        if (Fraction(weights[k]) + tol) * (Fraction(weights[-k]) + tol) < 1:
-            raise ValueError(
-                f"partial transpose failed positivity at eps={epsilon}: "
-                f"block [[{weights[k]!r}, 1], [1, {weights[-k]!r}]]"
-            )
+        _require_psd_block(epsilon, weights[k], weights[-k])
     return PptProbe(epsilon=float(epsilon), state=rho)
 
 
@@ -200,6 +211,9 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
     All restarts run as one batch (memory is O(restarts)); restart r draws its
     start from the stream [seed, r] and stops on its own rule.
     """
+    if seed < 0:
+        # numpy's own message names neither the seed nor its value
+        raise ValueError(f"seed must be non-negative, got {seed}")
     n = w.n
     w4 = w.operator.reshape(n, n, n, n)
     psi = np.empty((restarts, n), dtype=complex)

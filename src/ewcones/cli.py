@@ -205,6 +205,8 @@ def _certificate_payload(cert) -> dict:
 
 def _cmd_classify(args: argparse.Namespace) -> str:
     _require_between("--restarts", args.restarts, 1, MAX_RESTARTS)
+    if args.seed < 0:
+        raise CommandError("usage", f"--seed must be non-negative, got {args.seed}", 2)
     _require_tol(args.tol)
     params = _resolve_params(args)
     cert = certify_decomposability(params, tol=args.tol)
@@ -231,8 +233,8 @@ def _cmd_classify(args: argparse.Namespace) -> str:
 def _geometry_rows(cones: tuple[str, ...], resolution: int) -> list[tuple]:
     rows: list[tuple] = []
     for cone in cones:
-        for b, c, d in sample_cloud(cone, resolution):
-            rows.append((float(b), float(c), float(d), cone))
+        cloud = np.asarray(sample_cloud(cone, resolution)).tolist()  # Python floats, one call
+        rows.extend((b, c, d, cone) for b, c, d in cloud)
     for cone in cones:
         for p in bd_curve(cone):
             rows.append((p.b, p.c, p.d, f"bd-{cone}"))

@@ -32,9 +32,9 @@ PARAM_SUM_TOL = 1e-10
 PARAM_NEG_TOL = 1e-10
 CIRCULANT_TOL = 1e-10
 
-_S2 = np.sqrt(2.0)
-_S3 = np.sqrt(3.0)
-_S6 = np.sqrt(6.0)
+_S2 = math.sqrt(2.0)
+_S3 = math.sqrt(3.0)
+_S6 = math.sqrt(6.0)
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,11 @@ def abcd_from_euler(
         raise ValueError(f"parity must be 'proper' or 'improper', got {parity!r}")
     _require_finite_angles(alpha, beta, gamma)
     s = 1.0 if parity == "proper" else -1.0
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    sg, cg = np.sin(gamma), np.cos(gamma)
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sb, cb = math.sin(beta), math.cos(beta)
+    sg, cg = math.sin(gamma), math.cos(gamma)
     shared = (sa * sg - ca * cb * cg - 3 * ca * cg + 3 * cb * sa * sg - 2 * cb) / 6.0
-    a = (3 + s * (np.cos(alpha + gamma) * (1 + cb)) + s * cb) / 4.0
+    a = (3 + s * (math.cos(alpha + gamma) * (1 + cb)) + s * cb) / 4.0
     b = (
         3
         + s * shared
@@ -111,7 +111,7 @@ def abcd_from_euler(
         "gamma": float(gamma),
         "parity": parity,
     }
-    return WitnessParams(float(a), float(b), float(c), float(d), provenance)
+    return WitnessParams(a, b, c, d, provenance)
 
 
 # Pre-twirl table: entry label -> {(row, col) into the 3x3 block: coefficient}.

@@ -45,9 +45,10 @@ def _require_finite_angles(*angles: float) -> None:
 
 def euler_rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Proper rotation of R^3 from the three Euler angles."""
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    sg, cg = np.sin(gamma), np.cos(gamma)
+    _require_finite_angles(alpha, beta, gamma)
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sb, cb = math.sin(beta), math.cos(beta)
+    sg, cg = math.sin(gamma), math.cos(gamma)
     return np.array(
         [
             [ca * cg - cb * sa * sg, cg * sa + ca * cb * sg, sb * sg],
@@ -102,7 +103,6 @@ def embedding_from_euler(
     """Embedding of M_4(C) whose block is the Euler rotation, negated when improper."""
     if parity not in ("proper", "improper"):
         raise ValueError(f"parity must be 'proper' or 'improper', got {parity!r}")
-    _require_finite_angles(alpha, beta, gamma)
     block = euler_rotation(alpha, beta, gamma)
     if parity == "improper":
         block = -block
@@ -278,5 +278,7 @@ def _default_weyl_set(n: int) -> WeylSet:
 def twirl(w: Witness) -> Witness:
     """Project the witness onto the span of the Weyl entangled projectors."""
     vecs = _default_weyl_set(w.n).vectors
-    weights = np.einsum("ka,ab,kb->k", vecs.conj(), w.operator, vecs).real
-    return Witness(n=w.n, operator=(vecs.T * weights) @ vecs.conj())
+    bras = vecs.conj()
+    # <v_k| W |v_k> for every k at once: one matmul, then a row-wise dot
+    weights = ((bras @ w.operator) * vecs).sum(axis=1).real
+    return Witness(n=w.n, operator=(vecs.T * weights) @ bras)

@@ -9,12 +9,14 @@ row by row. Where an assembly step was rewritten for speed (index tables,
 slice-built embeddings, cached sums), the earlier form is kept below as the
 reference and the two must agree bit for bit as well.
 """
+import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from ewcones import certify, family, linalg, maps, spa
+from ewcones import certify, cli, family, linalg, maps, spa
 from ewcones.certify import _decomposition_parts, probe_state
 from ewcones.cones import (
     AXIS_DIRECTION,
@@ -32,7 +34,14 @@ from ewcones.family import (
     witness_from_params,
 )
 from ewcones.gellmann import build_basis, diag_expectations
-from ewcones.maps import build_weyl_set, build_witness, embedding_from_euler, twirl
+from ewcones.maps import (
+    Witness,
+    build_weyl_set,
+    build_witness,
+    embedding_from_euler,
+    euler_rotation,
+    twirl,
+)
 
 
 def unit(i, j, n=4):
@@ -437,3 +446,117 @@ def test_critical_p_agrees_with_closed_form_on_cones_and_special_points():
     for p in sample:
         w = witness_from_params(p)
         assert abs(spa.critical_p(w) - spa.critical_p_from_a(p.a)) <= 1e-12
+
+
+def ref_require_psd_block(epsilon, w, w_t):
+    tol = Fraction(certify.EVIDENCE_TOL)
+    if (Fraction(w) + tol) * (Fraction(w_t) + tol) < 1:
+        raise ValueError(
+            f"partial transpose failed positivity at eps={epsilon}: "
+            f"block [[{w!r}, 1], [1, {w_t!r}]]"
+        )
+
+
+def ref_twirl_weights(op):
+    vecs = build_weyl_set(4).vectors
+    weights = np.einsum("ka,ab,kb->k", vecs.conj(), op, vecs).real
+    return (vecs.T * weights) @ vecs.conj()
+
+
+def ref_euler_rotation(alpha, beta, gamma):
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    sb, cb = np.sin(beta), np.cos(beta)
+    sg, cg = np.sin(gamma), np.cos(gamma)
+    return np.array(
+        [
+            [ca * cg - cb * sa * sg, cg * sa + ca * cb * sg, sb * sg],
+            [-cb * cg * sa - ca * sg, ca * cb * cg - sa * sg, cg * sb],
+            [sa * sb, -ca * sb, cb],
+        ]
+    )
+
+
+def ref_geometry_rows(cones, resolution):
+    rows = []
+    for cone in cones:
+        for b, c, d in sample_cloud(cone, resolution):
+            rows.append((float(b), float(c), float(d), cone))
+    for cone in cones:
+        for p in bd_curve(cone):
+            rows.append((p.b, p.c, p.d, f"bd-{cone}"))
+    for sp in special_points():
+        if sp.ellipse in cones:
+            rows.append((sp.params.b, sp.params.c, sp.params.d, f"special-{sp.label}"))
+    return rows
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+PROBE_EPSILONS = [2.0**k for k in range(-60, 61)] + [49.0, 1 / 49.0, 3.0, 1 / 3.0,
+                                                     math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]
+
+
+def probe_weight_pairs():
+    # the blocks probe_state checks, failing blocks, and pairs on each side of
+    # (w + tol)(w' + tol) = 1
+    pairs = [(eps, (eps, 1.0 / eps)) for eps in PROBE_EPSILONS]
+    pairs += [(eps, (1.0, 1.0)) for eps in PROBE_EPSILONS]
+    pairs += [(0.5, (0.5, 1.9999)), (2.0, (2.0, 0.4)), (1.0, (1e-3, 1e-3)), (1.0, (0.0, 0.0))]
+    rng = np.random.default_rng(78)
+    for w in rng.uniform(0.01, 100.0, 200).tolist():
+        edge = 1.0 / (w + certify.EVIDENCE_TOL) - certify.EVIDENCE_TOL
+        for steps in range(-3, 4):
+            w_t = edge
+            for _ in range(abs(steps)):
+                w_t = math.nextafter(w_t, math.copysign(math.inf, steps))
+            pairs.append((w, (w, w_t)))
+    return pairs
+
+
+def test_probe_block_check_matches_fraction_form():
+    verdicts = []
+    for eps, (w, w_t) in probe_weight_pairs():
+        got = outcome(certify._require_psd_block, eps, w, w_t)
+        assert got == outcome(ref_require_psd_block, eps, w, w_t)
+        verdicts.append(got is None)
+    assert all(verdicts[: 2 * len(PROBE_EPSILONS)]), "a probe_state block was rejected"
+    assert verdicts.count(False) > 200 and verdicts.count(True) > 600
+    assert outcome(certify._require_psd_block, 0.5, 0.5, 1.9999) == (
+        "partial transpose failed positivity at eps=0.5: block [[0.5, 1], [1, 1.9999]]"
+    )
+
+
+def test_twirl_matches_einsum_weights():
+    rng = np.random.default_rng(79)
+    ops = [witness_from_params(sp.params).operator for sp in special_points()]
+    for parity in ("proper", "improper"):
+        for _ in range(200):
+            emb = embedding_from_euler(*rng.uniform(0, 2 * np.pi, 3), parity=parity)
+            ops.append(build_witness(emb).operator)
+    for op in ops:
+        gap = np.max(np.abs(twirl(Witness(n=4, operator=op)).operator - ref_twirl_weights(op)))
+        assert gap <= 1e-15
+
+
+def test_euler_rotation_matches_numpy_scalar_form():
+    rng = np.random.default_rng(80)
+    angles = [tuple(rng.uniform(-4 * np.pi, 4 * np.pi, 3)) for _ in range(500)]
+    angles += [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0, -0.0, -0.0), (np.pi, -0.0, np.pi)]
+    for alpha, beta, gamma in angles:
+        assert_bitwise(euler_rotation(alpha, beta, gamma), ref_euler_rotation(alpha, beta, gamma))
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 16, 64])
+def test_geometry_rows_match_per_coordinate_floats(resolution):
+    for cones in (("I", "II"), ("I",), ("II",)):
+        rows = cli._geometry_rows(cones, resolution)
+        expected = ref_geometry_rows(cones, resolution)
+        assert rows == expected
+        assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in expected]
+        assert all(type(x) is float for row in rows for x in row[:3])

@@ -474,3 +474,16 @@ def test_resolution_bounds_are_accepted(capsys, tmp_path):
                                  "--format", "csv", "--out", str(out)])
         assert code == 0
         assert rec["outputs"]["counts"]["I"] == 1 + resolution * (resolution - 1)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**63)])
+def test_negative_seed_is_usage_error(capsys, monkeypatch, seed):
+    # rejected next to --restarts, before any certificate is computed
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the --seed check")
+
+    monkeypatch.setattr(cli, "certify_decomposability", never)
+    code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--seed", str(seed)])
+    assert code == 2
+    assert rec["command"] == "classify"
+    assert rec["error"] == {"kind": "usage", "message": f"--seed must be non-negative, got {seed}"}

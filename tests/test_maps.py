@@ -31,6 +31,13 @@ def test_euler_rotation_basics():
         assert np.linalg.det(r) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("angles", [(np.inf, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, -np.inf)])
+def test_euler_rotation_rejects_non_finite_angles(angles):
+    # math.sin would return NaN for a NaN angle and raise a bare "math domain error" for inf
+    with pytest.raises(ValueError, match="^Euler angles must be finite"):
+        euler_rotation(*angles)
+
+
 def test_embedding_parity_detection():
     rng = np.random.default_rng(12)
     r = euler_rotation(*random_angles(rng))

@@ -84,3 +84,9 @@ def test_block_positivity_restart_prefix_is_exact():
     w = WITNESSES["1110"]
     values = [block_positivity_min(w, restarts=r, seed=3) for r in range(1, 17)]
     assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_negative_seed_is_named_in_the_error(seed):
+    with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+        block_positivity_min(WITNESSES["1110"], restarts=2, seed=seed)
