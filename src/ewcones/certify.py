@@ -209,8 +209,13 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
     result is numerical evidence of block positivity, not a proof; it never
     increases when restarts grow under the same seed.
     All restarts run as one batch (memory is O(restarts)); restart r draws its
-    start from the stream [seed, r] and stops on its own rule.
+    start from the stream [seed, r] and stops on its own rule. Raises
+    ValueError unless restarts >= 1 and seed >= 0.
     """
+    if restarts < 1:
+        # 0 restarts would return inf, and numpy's message for a negative
+        # count names neither the argument nor its value
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     if seed < 0:
         # numpy's own message names neither the seed nor its value
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -237,7 +242,7 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
         # a converged restart keeps min(old, new); ties keep old, as min() does
         value[active] = np.where(done & (old <= new), old, new)
         active = active[~done]
-    return float(min(value, default=math.inf))  # first of equal values, as a running min
+    return float(min(value))  # first of equal values, as a running min
 
 
 def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:

@@ -7,7 +7,10 @@ iteration with two-sided unitary rotations in round-robin order: each
 round rotates n/2 disjoint index pairs at once as array operations, and n - 1
 rounds make a sweep over all pairs (Brent & Luk 1985; Luk & Park 1989 show
 this ordering equivalent to the cyclic-by-rows one, so its convergence
-guarantee carries over).
+guarantee carries over). A matrix whose nonzero pattern is not connected is
+solved block by block: up to a symmetric permutation it is block diagonal,
+and rotations inside a block keep the zeros outside it, so the split is
+exact. A connected matrix takes the whole-matrix sweeps unchanged.
 
 A yes/no positivity question needs no spectrum: `psd_proved` settles it by
 one shifted Cholesky factorization whose completion is a proof (Rump 2006).
@@ -33,6 +36,8 @@ JACOBI_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
 _UNIT_ROUNDOFF = 2.0**-53
 _ETA = math.ulp(0.0)  # smallest subnormal
+# a pair coupled at or below this keeps the identity rotation, which cannot move the mass
+_NEGLIGIBLE = 1e-300
 
 
 class EigenResult(NamedTuple):
@@ -81,7 +86,8 @@ def _scaled_to_unit(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _off_diagonal_mass(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
+    off = a.copy()
+    off.flat[:: a.shape[0] + 1] = 0.0
     return float(np.linalg.norm(off))
 
 
@@ -121,55 +127,45 @@ def _round_robin(n: int) -> tuple[_Round, ...]:
     return tuple(rounds)
 
 
-def hermitian_eig(m: np.ndarray) -> EigenResult:
-    """Diagonalize a Hermitian matrix by Jacobi rotations in round-robin order.
+def _rutishauser(d_p: np.ndarray, d_q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """t = tan(theta) of the rotations that zero couplings of modulus r > 0
+    between diagonal entries d_p and d_q, and the rotated diagonal.
 
-    Each sweep visits every index pair once, in the rounds of `_round_robin`:
-    a round rotates its n/2 disjoint pairs together, as array operations, by
-    two-sided unitary plane rotations that zero each pair's off-diagonal
-    entry. Sweeps run until the off-diagonal Frobenius mass drops below
-    JACOBI_TOL times the Frobenius norm of the input. Returns the eigenvalues
-    in ascending order, without eigenvectors; raises
-    numpy.linalg.LinAlgError (a ValueError) when JACOBI_MAX_SWEEPS sweeps
-    leave the mass above that threshold.
+    |theta| <= pi/4 (Rutishauser). The rotated diagonal is each pair's 2 x 2
+    eigenvalues d_p + t r, d_q - t r, which carry less rounding than the
+    two-sided product. Returns (t, d_p + t r, d_q - t r).
     """
-    a = _require_hermitian(m)
+    diff = d_p - d_q
+    t = np.copysign(2.0 * r, diff) / (np.abs(diff) + np.hypot(diff, 2.0 * r))
+    shift = t * r
+    return t, d_p + shift, d_q - shift
+
+
+def _jacobi(a: np.ndarray, threshold: float) -> np.ndarray:
+    """Diagonal of a after round-robin sweeps bring its off-diagonal mass to threshold.
+
+    a is a scaled Hermitian matrix of order 2 or more; raises
+    numpy.linalg.LinAlgError when JACOBI_MAX_SWEEPS sweeps leave the mass
+    above threshold.
+    """
     n = a.shape[0]
-    if n <= 1:
-        return EigenResult(np.diag(a).real.copy())
-    a, exponent = _scaled_to_unit(a)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return EigenResult(np.zeros(n))
-    threshold = JACOBI_TOL * scale
-    # negligibility cutoff per element; rotations below it cannot move the mass
-    tiny = 1e-300
     for _ in range(JACOBI_MAX_SWEEPS):
         if _off_diagonal_mass(a) <= threshold:
             break
         for p, q, partner, pq, qp in _round_robin(n):
             apq = a.ravel().take(pq)
             r = np.abs(apq)
-            live = r > tiny
+            live = r > _NEGLIGIBLE
             count = np.count_nonzero(live)
             if count == 0:
                 continue
             if count < p.size:
                 # dead pairs keep the identity rotation: cs = 1 and us = 0 below
                 p, q, apq, r = p[live], q[live], apq[live], r[live]
-            # t = tan(theta) with |theta| <= pi/4 (Rutishauser); the rotated
-            # diagonal is the pair's 2 x 2 eigenvalues d_p + t r, d_q - t r,
-            # which carry less rounding than the two-sided product
             d = a.diagonal().real.copy()
-            d_p = d[p]
-            d_q = d[q]
-            diff = d_p - d_q
-            t = np.copysign(2.0 * r, diff) / (np.abs(diff) + np.hypot(diff, 2.0 * r))
+            t, d[p], d[q] = _rutishauser(d[p], d[q], r)
             c = 1.0 / np.hypot(1.0, t)
             u_pq = -(t * c) * (apq / r)
-            shift = t * r
-            d[p] = d_p + shift
-            d[q] = d_q - shift
             # J = diag(cs) + us at (partner[j], j): column j of a J mixes in
             # column partner[j], row i of J^H (a J) mixes in row partner[i]
             cs = np.ones(n)
@@ -186,8 +182,98 @@ def hermitian_eig(m: np.ndarray) -> EigenResult:
             flat[:: n + 1] = d
     if _off_diagonal_mass(a) > threshold:
         raise np.linalg.LinAlgError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+    return np.diag(a).real
+
+
+def _components(pattern: np.ndarray) -> list[list[int]]:
+    """The connected components of a symmetric boolean pattern, as sorted index lists.
+
+    A breadth-first search on one integer bitmask per row: an n x n pattern
+    costs n mask unions, with no matrix products.
+    """
+    n = pattern.shape[0]
+    rows = np.packbits(pattern, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    unseen = (1 << n) - 1
+    components = []
+    while unseen:
+        component = frontier = unseen & -unseen
+        members = []
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                members.append(low.bit_length() - 1)
+                reach |= masks[members[-1]]
+            frontier = reach & ~component
+            component |= frontier
+        unseen &= ~component
+        components.append(sorted(members))
+    return components
+
+
+def _blockwise_diagonal(a: np.ndarray, components: list[list[int]]) -> np.ndarray:
+    """The eigenvalues of scaled a, in place of its diagonal, one component at a time.
+
+    A 1 x 1 component is its diagonal entry. All 2 x 2 components take their
+    single Jacobi rotation together. A larger one runs `_jacobi` on its
+    principal submatrix, to JACOBI_TOL times that submatrix's norm: the
+    squared thresholds sum to at most the whole matrix's, so the criterion is
+    no looser. The submatrix is first rescaled by its own power of two, so
+    that a block far below the largest one keeps a norm whose squares do not
+    underflow.
+    """
+    d = a.diagonal().real.copy()
+    pairs = [block for block in components if len(block) == 2]
+    if pairs:
+        p, q = np.array(pairs, dtype=np.intp).T
+        r = np.abs(a[p, q])
+        live = r > _NEGLIGIBLE
+        p, q = p[live], q[live]
+        _, d[p], d[q] = _rutishauser(d[p], d[q], r[live])
+    for block in components:
+        if len(block) > 2:
+            sub, exponent = _scaled_to_unit(a[np.ix_(block, block)])
+            d[block] = np.ldexp(_jacobi(sub, JACOBI_TOL * float(np.linalg.norm(sub))), exponent)
+    return d
+
+
+def hermitian_eig(m: np.ndarray) -> EigenResult:
+    """Diagonalize a Hermitian matrix by Jacobi rotations in round-robin order.
+
+    Each sweep visits every index pair once, in the rounds of `_round_robin`:
+    a round rotates its n/2 disjoint pairs together, as array operations, by
+    two-sided unitary plane rotations that zero each pair's off-diagonal
+    entry. Sweeps run until the off-diagonal Frobenius mass drops below
+    JACOBI_TOL times the Frobenius norm of the input.
+
+    An input whose nonzero pattern is not connected is block diagonal up to
+    a symmetric permutation. Exact zeros stay zero under any rotation inside
+    a block, so the split is exact: the spectrum is the union of the blocks'
+    spectra, and `_blockwise_diagonal` solves each block on its own. A
+    connected input takes the whole-matrix sweeps unchanged.
+
+    Returns the eigenvalues in ascending order, without eigenvectors; raises
+    numpy.linalg.LinAlgError (a ValueError) when JACOBI_MAX_SWEEPS sweeps
+    leave the mass of the matrix, or of one of its blocks, above its
+    threshold.
+    """
+    a = _require_hermitian(m)
+    n = a.shape[0]
+    if n <= 1:
+        return EigenResult(np.diag(a).real.copy())
+    a, exponent = _scaled_to_unit(a)
+    scale = float(np.linalg.norm(a))
+    if scale == 0.0:
+        return EigenResult(np.zeros(n))
+    nonzero = a != 0
+    if nonzero.all() or len(components := _components(nonzero)) == 1:
+        diagonal = _jacobi(a, JACOBI_TOL * scale)
+    else:
+        diagonal = _blockwise_diagonal(a, components)
     with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is +-inf
-        values = np.ldexp(np.diag(a).real, exponent)
+        values = np.ldexp(diagonal, exponent)
     return EigenResult(np.sort(values, kind="stable"))
 
 

@@ -90,3 +90,10 @@ def test_block_positivity_restart_prefix_is_exact():
 def test_negative_seed_is_named_in_the_error(seed):
     with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
         block_positivity_min(WITNESSES["1110"], restarts=2, seed=seed)
+
+
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_restarts_below_one_are_named_in_the_error(restarts):
+    # 0 restarts used to return inf, and -2 numpy's bare "negative dimensions"
+    with pytest.raises(ValueError, match=f"^restarts must be at least 1, got {restarts}$"):
+        block_positivity_min(WITNESSES["1110"], restarts=restarts, seed=0)
