@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import ConeReport, cone_residuals
-from .family import WitnessParams, witness_from_params
+from .family import DECISION_TOL, WitnessParams, _require_tol, witness_from_params
 from .linalg import hermitian_eig, is_hermitian, partial_transpose, psd_proved
 from .maps import Witness, _circulant, _ii_operator
 
@@ -27,7 +27,6 @@ __all__ = [
     "probe_state",
 ]
 
-DECISION_TOL = 1e-9
 EVIDENCE_TOL = 1e-10
 SEESAW_MAX_ITER = 500
 SEESAW_FTOL = 1e-12
@@ -65,15 +64,15 @@ def probe_state(epsilon: float) -> PptProbe:
     The state is an all-ones block on span{|ii>} plus a positive diagonal,
     so it is PSD. Its partial transpose is the |ii> diagonal of ones plus
     2 x 2 blocks [[w, 1], [1, w']] on {|ij>, |ji>}, with w and w' the weights
-    j - i and i - j (mod 4). Each block is PSD to within EVIDENCE_TOL iff
-    (w + tol)(w' + tol) >= 1, which is decided in Python integers, exactly.
+    j - i and i - j (mod 4). A block is PSD to within EVIDENCE_TOL iff
+    (w + tol)(w' + tol) >= 1, decided exactly in Python integers; only
+    (eps, 1/eps) needs it, as (1 + tol)^2 >= 1 for the shift-2 blocks.
     """
     if not (epsilon > 0 and math.isfinite(epsilon) and math.isfinite(1.0 / epsilon)):
         raise ValueError(f"epsilon must be positive, with epsilon and 1/epsilon finite, got {epsilon}")
     weights = (1.0, float(epsilon), 1.0, 1.0 / float(epsilon))
     rho = _ii_operator(_circulant(weights).ravel(), np.ones((4, 4)))
-    for k in (1, 2):
-        _require_psd_block(epsilon, weights[k], weights[-k])
+    _require_psd_block(epsilon, weights[1], weights[3])
     return PptProbe(epsilon=float(epsilon), state=rho)
 
 
@@ -124,12 +123,6 @@ class Certificate:
         )
 
 
-def _require_tol(tol: float) -> None:
-    # a NaN tol fails every comparison, which would read as "within tolerance"
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
-
-
 def _choose_epsilon(b: float, d: float) -> tuple[float, tuple[float, float]]:
     if b > 0 and d > 0:
         eps = math.sqrt(d / b)
@@ -163,9 +156,7 @@ def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) ->
     cone law) but the certificate carries a warning. Raises ValueError
     unless tol is finite and non-negative.
     """
-    _require_tol(tol)
-    params.validate()
-    cones = cone_residuals(params, tol=tol)
+    cones = cone_residuals(params, tol=tol)  # checks tol first
     a, b, c, d = params.a, params.b, params.c, params.d
     w = witness_from_params(params)
     if abs(b - d) > tol:

@@ -4,7 +4,7 @@ Four subcommands: classify (cone membership, decomposability certificate,
 block positivity evidence), geometry (surface point clouds), spa (critical
 noise mixture with separable split), detect (pair a witness with a state).
 Every run prints one JSON run record to stdout. Exit codes: 0 success,
-2 usage, 3 validation failure, 4 I/O failure.
+2 usage, 3 validation failure, 4 I/O failure (a closed stdout included).
 """
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ import argparse
 import csv
 import json
 import math
+import os
+import sys
 from collections import Counter
 from contextlib import contextmanager
 
@@ -72,11 +74,11 @@ def _add_witness_args(sub: argparse.ArgumentParser) -> None:
         help="four circulant parameters summing to 3, space or comma separated",
     )
     sub.add_argument(
-        "--parity", choices=("proper", "improper"), default="proper",
-        help="orientation of the rotation block (with --euler)",
+        "--parity", choices=("proper", "improper"), default=None,
+        help="orientation of the rotation block (with --euler; default proper)",
     )
     sub.add_argument(
-        "--degrees", action="store_true", help="read Euler angles as degrees"
+        "--degrees", action="store_true", help="read Euler angles as degrees (with --euler)"
     )
 
 
@@ -101,24 +103,22 @@ def _require_between(flag: str, value: int, lo: int, hi: int) -> None:
         raise CommandError("usage", f"{flag} must be between {lo} and {hi}, got {value}", 2)
 
 
-def _require_tol(tol: float) -> None:
+def _require_tol_flag(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise CommandError("usage", f"--tol must be finite and positive, got {tol}", 2)
 
 
 def _resolve_params(args: argparse.Namespace) -> WitnessParams:
-    if args.euler is not None:
-        angles = _parse_floats(args.euler, 3, "--euler")
-        args.euler = angles
-        if args.degrees:
-            angles = [math.radians(x) for x in angles]
-        params = abcd_from_euler(angles[0], angles[1], angles[2], parity=args.parity)
-    else:
-        values = _parse_floats(args.params, 4, "--params")
-        args.params = values
-        params = WitnessParams(*values)
-    params.validate()
-    return params
+    if args.euler is None:
+        for flag, given in (("--parity", args.parity is not None), ("--degrees", args.degrees)):
+            if given:
+                raise CommandError("usage", f"{flag} requires --euler", 2)
+        args.params = _parse_floats(args.params, 4, "--params")
+        return WitnessParams(*args.params)
+    args.euler = _parse_floats(args.euler, 3, "--euler")
+    args.parity = args.parity or "proper"
+    angles = [math.radians(x) for x in args.euler] if args.degrees else args.euler
+    return abcd_from_euler(*angles, parity=args.parity)
 
 
 def _dumps(record: dict) -> str:
@@ -155,7 +155,7 @@ def _open_out(path: str):
 def _witness_inputs(args: argparse.Namespace) -> dict:
     return {
         "euler": list(args.euler) if args.euler is not None else None,
-        "parity": args.parity if args.euler is not None else None,
+        "parity": args.parity,
         "degrees": bool(args.degrees),
         "params": list(args.params) if args.params is not None else None,
     }
@@ -207,7 +207,7 @@ def _cmd_classify(args: argparse.Namespace) -> str:
     _require_between("--restarts", args.restarts, 1, MAX_RESTARTS)
     if args.seed < 0:
         raise CommandError("usage", f"--seed must be non-negative, got {args.seed}", 2)
-    _require_tol(args.tol)
+    _require_tol_flag(args.tol)
     params = _resolve_params(args)
     cert = certify_decomposability(params, tol=args.tol)
     w = witness_from_params(params)
@@ -294,7 +294,7 @@ def _cmd_spa(args: argparse.Namespace) -> str:
 
 
 def _cmd_detect(args: argparse.Namespace) -> str:
-    _require_tol(args.tol)
+    _require_tol_flag(args.tol)
     params = _resolve_params(args)
     try:
         with open(args.state) as fh:
@@ -320,14 +320,16 @@ def _cmd_detect(args: argparse.Namespace) -> str:
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that prints a usage record to stdout on every error.
 
-    argparse then prints its usage text to stderr and exits 2 as usual.
+    argparse then prints its usage text to stderr and exits 2 as usual, or
+    4 when stdout is closed.
     command names the subcommand the parser reads, None at the top level.
     """
 
     command: str | None = None
 
     def error(self, message):
-        print(_error_record(self.command, "usage", message))
+        if _print_record(_error_record(self.command, "usage", message), 2) == 4:
+            self.exit(4)
         super().error(message)
 
 
@@ -385,7 +387,19 @@ def main(argv=None) -> int:
     except ValueError as exc:
         kind, message, code = "validation", str(exc), 3
     else:
-        print(text)
-        return 0
-    print(_error_record(args.command, kind, message))
+        return _print_record(text, 0)
+    return _print_record(_error_record(args.command, kind, message), code)
+
+
+def _print_record(text: str, code: int) -> int:
+    """Print a record and return code, or 4 (I/O) when stdout is closed."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the interpreter's
+        # final flush of what is still buffered stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 4
     return code

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import WitnessParams
+from .family import DECISION_TOL, WitnessParams, _require_tol
 
 __all__ = [
     "AXIS_DIRECTION",
@@ -29,7 +29,6 @@ __all__ = [
     "special_points",
 ]
 
-MEMBERSHIP_TOL = 1e-9
 BD_CURVE_SAMPLES = 51
 
 VERTEX_ONE = np.array([0.5, 1.0, 0.5])
@@ -59,8 +58,12 @@ class ConeReport:
     tol: float
 
 
-def cone_residuals(params: WitnessParams, tol: float = MEMBERSHIP_TOL) -> ConeReport:
-    """Evaluate both quadric equations and the slab constraint at a point."""
+def cone_residuals(params: WitnessParams, tol: float = DECISION_TOL) -> ConeReport:
+    """Evaluate both quadric equations and the slab constraint at a point.
+
+    Raises ValueError unless tol is finite and non-negative, as certify does.
+    """
+    _require_tol(tol)
     b, c, d = params.b, params.c, params.d
     cross = 4 * b * c + 4 * c * d - 2 * b * d
     res1 = (b - 2) ** 2 + (2 * c - 3) ** 2 + (d - 2) ** 2 + cross - 9.0

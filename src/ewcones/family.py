@@ -31,21 +31,34 @@ __all__ = [
 PARAM_SUM_TOL = 1e-10
 PARAM_NEG_TOL = 1e-10
 CIRCULANT_TOL = 1e-10
+DECISION_TOL = 1e-9
 
 _S2 = math.sqrt(2.0)
 _S3 = math.sqrt(3.0)
 _S6 = math.sqrt(6.0)
 
 
+def _require_tol(tol: float) -> None:
+    # a NaN tol fails every comparison, which would read as "within tolerance"
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
 @dataclass(frozen=True)
 class WitnessParams:
-    """Circulant parameters (a, b, c, d) with optional provenance metadata."""
+    """Circulant parameters (a, b, c, d) with optional provenance metadata.
+
+    Construction, `dataclasses.replace` included, runs `validate`.
+    """
 
     a: float
     b: float
     c: float
     d: float
     provenance: dict | None = None
+
+    def __post_init__(self):
+        self.validate()
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d])
@@ -188,8 +201,7 @@ def appendix_matrix(block: np.ndarray, corrected: bool = True) -> np.ndarray:
 
 
 def witness_from_params(params: WitnessParams) -> Witness:
-    """Assemble the circulant witness for validated parameters."""
-    params.validate()
+    """Assemble the circulant witness of a family member (valid by construction)."""
     block = _circulant([params.a, -1.0, -1.0, -1.0])
     return Witness(n=4, operator=_ii_operator(_circulant(params.as_array()).ravel(), block))
 
@@ -210,11 +222,11 @@ def params_from_witness(w: Witness) -> WitnessParams:
     if w.n != 4 or op.shape != (16, 16):
         raise ValueError(f"expected n=4 and a 16 x 16 operator, got n={w.n} and shape {op.shape}")
     vals = op.diagonal().real[_CYCLIC_DIAGONALS].mean(axis=0)
-    rebuilt = witness_from_params(WitnessParams(*map(float, vals)))
-    dev = float(np.max(np.abs(op - rebuilt.operator)))
+    params = WitnessParams(*map(float, vals), provenance={"kind": "extracted"})
+    dev = float(np.max(np.abs(op - witness_from_params(params).operator)))
     if dev > CIRCULANT_TOL:
         raise ValueError(f"witness is not circulant within {CIRCULANT_TOL:.1e}: deviation {dev:.3e}")
-    return WitnessParams(*map(float, vals), provenance={"kind": "extracted"})
+    return params
 
 
 @dataclass(frozen=True)
@@ -235,6 +247,7 @@ def n3_abc(alpha: float) -> N3Params:
     The triple satisfies a + b + c = 2 and bc = (1 - a)^2 identically, the
     ellipse of extreme positive maps in three dimensions.
     """
+    _require_finite_angles(alpha)
     a = (2.0 / 3.0) * (1.0 + np.cos(alpha))
     b = (2.0 / 3.0) * (1.0 - np.cos(alpha) / 2.0 - (_S3 / 2.0) * np.sin(alpha))
     c = (2.0 / 3.0) * (1.0 - np.cos(alpha) / 2.0 + (_S3 / 2.0) * np.sin(alpha))

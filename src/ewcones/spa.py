@@ -131,7 +131,7 @@ def spa_decompose(params: WitnessParams) -> SpaResult:
     critical parameter.
     """
     a = params.a
-    w = witness_from_params(params)  # validates params
+    w = witness_from_params(params)
     p_star = critical_p_from_a(a)
     mixed = spa_mix(w, p_star)
     slacks = spa3_check(params)

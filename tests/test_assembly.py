@@ -532,6 +532,27 @@ def test_probe_block_check_matches_fraction_form():
     )
 
 
+
+def ref_probe_checks(epsilon):
+    """The earlier probe check: both block shifts, 1 and 2."""
+    weights = (1.0, float(epsilon), 1.0, 1.0 / float(epsilon))
+    for k in (1, 2):
+        ref_require_psd_block(epsilon, weights[k], weights[-k])
+
+
+@pytest.mark.parametrize("evidence_tol", [certify.EVIDENCE_TOL, 0.0])
+def test_probe_state_verdicts_match_both_block_shifts(monkeypatch, evidence_tol):
+    # at tol 0 the float weights 49 and 1/49, 3 and 1/3 fail, so both
+    # verdicts and the failure message are compared
+    monkeypatch.setattr(certify, "EVIDENCE_TOL", evidence_tol)
+    verdicts = []
+    for eps in PROBE_EPSILONS:
+        got = outcome(probe_state, eps)
+        assert got == outcome(ref_probe_checks, eps)
+        verdicts.append(got is None)
+    assert all(verdicts) == (evidence_tol > 0)
+    assert any(verdicts)
+
 def test_twirl_matches_einsum_weights():
     rng = np.random.default_rng(79)
     ops = [witness_from_params(sp.params).operator for sp in special_points()]

@@ -1,15 +1,22 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ewcones
 from ewcones import __version__, certify, cli
 from ewcones.cli import main, matrix_from_pairs, matrix_to_pairs
 from ewcones.family import abcd_from_euler
 from ewcones.maps import embedding_from_euler, max_entangled_projector
+
+SRC = Path(ewcones.__file__).resolve().parents[1]
 
 
 def run(capsys, argv):
@@ -487,3 +494,46 @@ def test_negative_seed_is_usage_error(capsys, monkeypatch, seed):
     assert code == 2
     assert rec["command"] == "classify"
     assert rec["error"] == {"kind": "usage", "message": f"--seed must be non-negative, got {seed}"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["spa", "--params", "1,1,1,0", "--parity", "improper"],
+    ["spa", "--params", "1,1,1,0", "--parity", "proper"],
+    ["classify", "--params", "1,0.75,0.5,0.75", "--degrees"],
+    ["detect", "--params", "1,1,1,0", "--state", "missing.json", "--parity", "improper"],
+])
+def test_euler_flags_without_euler_are_usage_errors(capsys, monkeypatch, argv):
+    # refused before any parameter is parsed or any work is done
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the flag check")
+
+    monkeypatch.setattr(cli, "_parse_floats", never)
+    code, rec = run(capsys, argv)
+    flag = "--degrees" if "--degrees" in argv else "--parity"
+    assert code == 2
+    assert rec == {"command": argv[0], "error": {"kind": "usage", "message": f"{flag} requires --euler"}}
+
+
+def test_parity_defaults_to_proper_with_euler(capsys):
+    code, rec = run(capsys, ["spa", "--euler", "0.3,0.9,2.1"])
+    assert code == 0 and rec["inputs"]["parity"] == "proper"
+    assert rec["outputs"]["params"]["a"] == abcd_from_euler(0.3, 0.9, 2.1).a
+    code, rec = run(capsys, ["spa", "--params", "1,1,1,0"])
+    assert code == 0 and rec["inputs"]["parity"] is None and rec["inputs"]["degrees"] is False
+
+
+def test_closed_stdout_exits_4_without_traceback():
+    # the reader takes one byte and closes the pipe; the record is far larger
+    # than the pipe buffer, so the write fails while main is printing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ewcones", "geometry", "--resolution", "64"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 4
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ewcones import certify, cones
 from ewcones.cones import (
     AXIS_DIRECTION,
     AXIS_POINT,
@@ -174,3 +175,24 @@ def test_cone_name_normalization():
             sample_cloud(alias, 2)
         with pytest.raises(ValueError, match="unknown cone"):
             bd_curve(alias)
+
+
+def test_product_relations_input_is_checked_at_construction():
+    # 1e200 squared overflows a float; the member is refused before that
+    with pytest.raises(ValueError, match="must sum to 3"):
+        product_relations(WitnessParams(1e200, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, -np.inf])
+def test_cone_residuals_rejects_a_bad_tol(tol):
+    # NaN would read as "on neither cone" and inf as "on both"
+    with pytest.raises(ValueError, match="^tol must be finite and non-negative"):
+        cone_residuals(WitnessParams(0.5, 0.75, 1.0, 0.75), tol=tol)
+
+
+def test_one_decision_tolerance_for_cones_and_certificates():
+    p = WitnessParams(0.5, 0.75, 1.0, 0.75)
+    assert cone_residuals(p).tol == certify.DECISION_TOL == 1e-9
+    assert certify.certify_decomposability(p).cones == cone_residuals(p)
+    assert cone_residuals(p, tol=0.0).tol == 0.0
+    assert not hasattr(cones, "MEMBERSHIP_TOL")

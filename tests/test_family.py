@@ -1,7 +1,11 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ewcones import certify, spa
 from ewcones.errata import ERRATA, errata_ids
 from ewcones.family import (
     N3Params,
@@ -193,3 +197,56 @@ def test_n3_matches_phi_route():
 def test_n3params_as_array():
     arr = N3Params(1.0, 0.5, 0.5).as_array()
     assert_allclose(arr, [1.0, 0.5, 0.5])
+
+
+def test_construction_validates_with_the_validate_messages():
+    member = WitnessParams(1.5, 0.5, 0.5, 0.5)
+    bad = {
+        (np.nan, 1.0, 1.0, 0.0): "parameters must be finite, got [nan, 1.0, 1.0, 0.0]",
+        (np.inf, 1.0, 1.0, 0.0): "parameters must be finite, got [inf, 1.0, 1.0, 0.0]",
+        (1.0, -np.inf, 1.0, 0.0): "parameters must be finite, got [1.0, -inf, 1.0, 0.0]",
+        (1e200, 0.0, 0.0, 0.0): "parameters must sum to 3, residual 1.000e+200",
+        (1.0, 1.0, 1.0, 1.0): "parameters must sum to 3, residual 1.000e+00",
+        (2.2, 1.0, 0.0, -0.2): "parameter d = -2.000e-01 is negative",
+    }
+    for values, message in bad.items():
+        with pytest.raises(ValueError) as error:
+            WitnessParams(*values)
+        assert str(error.value) == message
+        # dataclasses.replace builds a new instance, so it is checked the same way
+        with pytest.raises(ValueError) as error:
+            dataclasses.replace(member, **dict(zip("abcd", values)))
+        assert str(error.value) == message
+    assert dataclasses.replace(member, b=1.0, d=0.0) == WitnessParams(1.5, 1.0, 0.5, 0.0)
+
+
+def test_validate_runs_once_per_construction_and_never_in_consumers(monkeypatch):
+    calls = []
+    checked = WitnessParams.validate
+
+    def counting(self):
+        calls.append(self.as_array().tolist())
+        checked(self)
+
+    monkeypatch.setattr(WitnessParams, "validate", counting)
+    decomposable = WitnessParams(1.0, 0.75, 0.5, 0.75)
+    indecomposable = dataclasses.replace(decomposable, b=0.5, d=1.0)
+    assert len(calls) == 2
+    for params in (decomposable, indecomposable):
+        certify.certify_decomposability(params)
+        witness_from_params(params)
+        spa.spa_decompose(params)
+    assert len(calls) == 2
+    abcd_from_euler(0.3, 0.9, 2.1, parity="improper")
+    assert len(calls) == 3
+    w = witness_from_params(decomposable)
+    params_from_witness(w)  # one WitnessParams, checked once
+    assert calls[-1] == decomposable.as_array().tolist() and len(calls) == 4
+
+
+@pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+def test_n3_abc_rejects_non_finite_angles_without_warnings(alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            n3_abc(alpha)
