@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import ConeReport, cone_residuals
-from .family import DECISION_TOL, WitnessParams, _require_tol, witness_from_params
+from .family import DECISION_TOL, WitnessParams, _require_tol
 from .linalg import hermitian_eig, is_hermitian, partial_transpose, psd_proved
 from .maps import Witness, _circulant, _ii_operator
 
@@ -158,7 +158,7 @@ def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) ->
     """
     cones = cone_residuals(params, tol=tol)  # checks tol first
     a, b, c, d = params.a, params.b, params.c, params.d
-    w = witness_from_params(params)
+    w = params.witness
     if abs(b - d) > tol:
         eps, interval = _choose_epsilon(b, d)
         probe = probe_state(eps)

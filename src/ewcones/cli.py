@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .certify import DECISION_TOL, block_positivity_min, certify_decomposability, detect
 from .cones import ConeReport, bd_curve, sample_cloud, special_points
-from .family import WitnessParams, abcd_from_euler, witness_from_params
+from .family import WitnessParams, abcd_from_euler
 from .spa import spa_decompose
 
 __all__ = ["main", "matrix_from_pairs", "matrix_to_pairs"]
@@ -50,9 +50,13 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 def matrix_from_pairs(data) -> np.ndarray:
     """Decode [re, im] pairs of a 16 x 16 matrix, nested or a flat list of 256."""
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        # a JSON object, a string or a ragged list has no numeric shape
+        # only JSON numbers: the float cast takes "1" and true for 1.0, and an
+        # object, null or a ragged list leaves a cell that is not a number
+        cells = np.asarray(data, dtype=object)
+        if any(type(v) not in (int, float) for v in cells.flat):
+            raise TypeError
+        arr = cells.astype(float)
+    except (TypeError, ValueError, OverflowError):  # an integer beyond float range overflows
         got = "data that is not a numeric array"
     else:
         if arr.shape == (256, 2):
@@ -166,17 +170,7 @@ def _params_payload(params: WitnessParams) -> dict:
 
 
 def _cones_payload(report: ConeReport) -> dict:
-    tol = report.tol
-    return {
-        "residual_one": report.residual_one,
-        "residual_two": report.residual_two,
-        "plane_coordinate": report.plane_coordinate,
-        "on_cone_one": report.on_cone_one,
-        "on_cone_two": report.on_cone_two,
-        "on_intersection": report.on_intersection,
-        "on_ellipse_one": report.on_cone_one and abs(report.plane_coordinate - 2.0) <= tol,
-        "on_ellipse_two": report.on_cone_two and abs(report.plane_coordinate - 1.0) <= tol,
-    }
+    return {k: v for k, v in vars(report).items() if k != "tol"}
 
 
 def _certificate_payload(cert) -> dict:
@@ -210,11 +204,10 @@ def _cmd_classify(args: argparse.Namespace) -> str:
     _require_tol_flag(args.tol)
     params = _resolve_params(args)
     cert = certify_decomposability(params, tol=args.tol)
-    w = witness_from_params(params)
-    value = block_positivity_min(w, restarts=args.restarts, seed=args.seed)
+    value = block_positivity_min(params.witness, restarts=args.restarts, seed=args.seed)
     outputs = {
         "params": _params_payload(params),
-        "provenance": params.provenance,
+        "provenance": None if params.provenance is None else dict(params.provenance),
         "cones": _cones_payload(cert.cones),
         "certificate": _certificate_payload(cert),
         "block_positivity": {
@@ -281,7 +274,7 @@ def _cmd_spa(args: argparse.Namespace) -> str:
     result = spa_decompose(params)
     outputs = {
         "params": _params_payload(params),
-        "provenance": params.provenance,
+        "provenance": None if params.provenance is None else dict(params.provenance),
         "p_star": result.p_star,
         "normalization": result.normalization,
         "slacks": list(result.slacks),
@@ -303,9 +296,7 @@ def _cmd_detect(args: argparse.Namespace) -> str:
         raise CommandError("io", f"cannot read {args.state}: {exc}", 4) from None
     except json.JSONDecodeError as exc:
         raise CommandError("validation", f"state file is not valid JSON: {exc}", 3) from None
-    rho = matrix_from_pairs(data)
-    w = witness_from_params(params)
-    value = detect(w, rho, tol=args.tol)
+    value = detect(params.witness, matrix_from_pairs(data), tol=args.tol)
     inputs = _witness_inputs(args)
     inputs["tol"] = args.tol
     inputs["state"] = args.state

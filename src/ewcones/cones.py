@@ -47,7 +47,7 @@ def _require_cone(cone: str) -> None:
 
 @dataclass(frozen=True)
 class ConeReport:
-    """Residuals and membership verdicts for one parameter point."""
+    """Residuals and the cone, intersection and boundary-ellipse verdicts at one point and tol."""
 
     residual_one: float
     residual_two: float
@@ -55,6 +55,8 @@ class ConeReport:
     on_cone_one: bool
     on_cone_two: bool
     on_intersection: bool
+    on_ellipse_one: bool
+    on_ellipse_two: bool
     tol: float
 
 
@@ -79,6 +81,8 @@ def cone_residuals(params: WitnessParams, tol: float = DECISION_TOL) -> ConeRepo
         on_cone_one=on1,
         on_cone_two=on2,
         on_intersection=on1 and on2 and abs(plane - 1.5) <= tol,
+        on_ellipse_one=on1 and abs(plane - 2.0) <= tol,
+        on_ellipse_two=on2 and abs(plane - 1.0) <= tol,
         tol=tol,
     )
 

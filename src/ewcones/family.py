@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,17 +49,32 @@ def _require_tol(tol: float) -> None:
 class WitnessParams:
     """Circulant parameters (a, b, c, d) with optional provenance metadata.
 
-    Construction, `dataclasses.replace` included, runs `validate`.
+    Construction, `dataclasses.replace` included, runs `validate` and fixes
+    provenance as a tuple of (key, value) pairs, so members hash and stay
+    immutable. The member owns `witness`, built on first use and read-only.
     """
 
     a: float
     b: float
     c: float
     d: float
-    provenance: dict | None = None
+    provenance: tuple | None = None
 
     def __post_init__(self):
         self.validate()
+        if self.provenance is not None:
+            object.__setattr__(self, "provenance", tuple(dict(self.provenance).items()))
+
+    def __getstate__(self):
+        # pickle and deepcopy would copy the witness writable; a copy rebuilds it on first use
+        return {k: v for k, v in vars(self).items() if k != "witness"}
+
+    @cached_property
+    def witness(self) -> Witness:
+        """The member's circulant witness, the only place the family assembles one."""
+        op = _ii_operator(_circulant(self.as_array()).ravel(), _circulant([self.a, -1.0, -1.0, -1.0]))
+        op.flags.writeable = False
+        return Witness(n=4, operator=op)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d])
@@ -201,9 +217,8 @@ def appendix_matrix(block: np.ndarray, corrected: bool = True) -> np.ndarray:
 
 
 def witness_from_params(params: WitnessParams) -> Witness:
-    """Assemble the circulant witness of a family member (valid by construction)."""
-    block = _circulant([params.a, -1.0, -1.0, -1.0])
-    return Witness(n=4, operator=_ii_operator(_circulant(params.as_array()).ravel(), block))
+    """A fresh, writable copy of `params.witness`, the member's shared read-only witness."""
+    return Witness(n=4, operator=params.witness.operator.copy())
 
 
 # entry (i, s) indexes the ket |i, i+s mod 4>, so column s holds the four
@@ -223,7 +238,7 @@ def params_from_witness(w: Witness) -> WitnessParams:
         raise ValueError(f"expected n=4 and a 16 x 16 operator, got n={w.n} and shape {op.shape}")
     vals = op.diagonal().real[_CYCLIC_DIAGONALS].mean(axis=0)
     params = WitnessParams(*map(float, vals), provenance={"kind": "extracted"})
-    dev = float(np.max(np.abs(op - witness_from_params(params).operator)))
+    dev = float(np.max(np.abs(op - params.witness.operator)))
     if dev > CIRCULANT_TOL:
         raise ValueError(f"witness is not circulant within {CIRCULANT_TOL:.1e}: deviation {dev:.3e}")
     return params

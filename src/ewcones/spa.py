@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .certify import EVIDENCE_TOL
-from .family import WitnessParams, witness_from_params
+from .family import WitnessParams
 from .linalg import _require_hermitian, partial_transpose, psd_proved
 from .maps import Witness, _circulant, _ii_operator
 
@@ -131,7 +131,7 @@ def spa_decompose(params: WitnessParams) -> SpaResult:
     critical parameter.
     """
     a = params.a
-    w = witness_from_params(params)
+    w = params.witness
     p_star = critical_p_from_a(a)
     mixed = spa_mix(w, p_star)
     slacks = spa3_check(params)

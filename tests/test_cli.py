@@ -13,7 +13,8 @@ import pytest
 import ewcones
 from ewcones import __version__, certify, cli
 from ewcones.cli import main, matrix_from_pairs, matrix_to_pairs
-from ewcones.family import abcd_from_euler
+from ewcones.cones import cone_residuals
+from ewcones.family import WitnessParams, abcd_from_euler
 from ewcones.maps import embedding_from_euler, max_entangled_projector
 
 SRC = Path(ewcones.__file__).resolve().parents[1]
@@ -537,3 +538,59 @@ def test_closed_stdout_exits_4_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 4
     assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+@pytest.mark.parametrize("witness", [["--params", "1,0.75,0.5,0.75"], ["--params", "1,1,1,0"],
+                                     ["--euler", "0.3,0.9,2.1", "--parity", "improper"]])
+def test_classify_assembles_the_witness_once(capsys, witness_assemblies, witness):
+    code, rec = run(capsys, ["classify", *witness, "--restarts", "2"])
+    assert code == 0 and len(witness_assemblies) == 1
+
+
+def test_classify_cones_are_the_report_without_tol(capsys):
+    code, rec = run(capsys, ["classify", "--params", "1,0,1,1", "--restarts", "1"])
+    report = cone_residuals(WitnessParams(1.0, 0.0, 1.0, 1.0))
+    cones = rec["outputs"]["cones"]
+    assert list(cones) == [
+        "residual_one", "residual_two", "plane_coordinate", "on_cone_one", "on_cone_two",
+        "on_intersection", "on_ellipse_one", "on_ellipse_two",
+    ]
+    assert cones == {k: getattr(report, k) for k in cones} and cones["on_ellipse_two"]
+
+
+def nest(pairs):
+    return [pairs[16 * r:16 * (r + 1)] for r in range(16)]
+
+
+NON_NUMERIC_CELLS = {
+    "strings": [["1", "0"]] * 256,
+    "booleans": [[True, False]] * 256,
+    # each alone passes the float cast: "0.0" and false read as 0.0
+    "mixed": [[0.0625, 0.0]] * 254 + [["0.0", 0.0], [False, 0.0]],
+    "null": [[0.0625, None]] + [[0.0625, 0.0]] * 255,
+    "beyond-float": [[10**400, 0]] + [[0.0625, 0.0]] * 255,
+}
+
+
+@pytest.mark.parametrize("layout", ["flat", "nested"])
+@pytest.mark.parametrize("kind", sorted(NON_NUMERIC_CELLS))
+def test_detect_rejects_cells_that_are_not_json_numbers(capsys, tmp_path, kind, layout):
+    pairs = NON_NUMERIC_CELLS[kind]
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(pairs if layout == "flat" else nest(pairs)))
+    code, rec = run(capsys, ["detect", "--params", "1,1,1,0", "--state", str(state)])
+    assert code == 3 and rec["error"]["kind"] == "validation"
+    assert rec["error"]["message"] == (
+        "expected 16x16 [re, im] pairs (flat or nested), got data that is not a numeric array"
+    )
+
+
+@pytest.mark.parametrize("layout", ["flat", "nested"])
+def test_detect_accepts_json_integers(capsys, tmp_path, layout):
+    # the identity, written with integer cells, pairs to Tr W = 12
+    pairs = [[int(r == c), 0] for r in range(16) for c in range(16)]
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(pairs if layout == "flat" else nest(pairs)))
+    assert "1.0" not in state.read_text()
+    code, rec = run(capsys, ["detect", "--params", "1,1,1,0", "--state", str(state)])
+    assert code == 0 and rec["outputs"]["value"] == 12.0

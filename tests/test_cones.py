@@ -196,3 +196,25 @@ def test_one_decision_tolerance_for_cones_and_certificates():
     assert certify.certify_decomposability(p).cones == cone_residuals(p)
     assert cone_residuals(p, tol=0.0).tol == 0.0
     assert not hasattr(cones, "MEMBERSHIP_TOL")
+
+
+def test_ellipse_verdicts_need_the_cone_and_its_base_plane():
+    for t in np.linspace(0.0, 1.0, 9):
+        for branch in ("+", "-"):
+            one, two = (cone_residuals(ellipse_point(c, t, branch)) for c in ("I", "II"))
+            assert one.on_ellipse_one and not one.on_ellipse_two
+            assert two.on_ellipse_two and not two.on_ellipse_one
+    for sp in special_points():
+        rep = cone_residuals(sp.params)
+        assert (rep.on_ellipse_one, rep.on_ellipse_two) == (sp.ellipse == "I", sp.ellipse == "II")
+    # each vertex lies in the other cone's base plane but not on that cone
+    for vertex in (VERTEX_ONE, VERTEX_TWO):
+        rep = cone_residuals(params_from_bcd(*vertex))
+        assert not (rep.on_ellipse_one or rep.on_ellipse_two)
+    mid = cone_residuals(WitnessParams(0.5, 0.75, 1.0, 0.75))
+    assert mid.on_intersection and not (mid.on_ellipse_one or mid.on_ellipse_two)
+    # the plane test is taken at the report's own tol
+    for off, flag in ((WitnessParams(0.0, 1.0, 1.0 - 1e-6, 1.0 + 1e-6), "on_ellipse_one"),
+                      (WitnessParams(1.0, 1.0, 1.0 - 1e-6, 1e-6), "on_ellipse_two")):
+        assert not getattr(cone_residuals(off), flag)
+        assert getattr(cone_residuals(off, tol=1e-3), flag)

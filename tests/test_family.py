@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ewcones import certify, spa
+from ewcones.cones import bd_curve, ellipse_point, special_points
 from ewcones.errata import ERRATA, errata_ids
 from ewcones.family import (
     N3Params,
@@ -250,3 +253,87 @@ def test_n3_abc_rejects_non_finite_angles_without_warnings(alpha):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be finite"):
             n3_abc(alpha)
+
+
+def test_each_member_assembles_its_witness_once(witness_assemblies):
+    calls = witness_assemblies
+    decomposable = WitnessParams(1.0, 0.75, 0.5, 0.75)
+    indecomposable = dataclasses.replace(decomposable, b=0.5, d=1.0)
+    for params in (decomposable, indecomposable):
+        for _ in range(2):
+            certify.certify_decomposability(params)
+            spa.spa_decompose(params)
+            witness_from_params(params)
+    assert len(calls) == 2
+    # the extracted member carries the witness it was checked against
+    extracted = params_from_witness(witness_from_params(decomposable))
+    assert len(calls) == 3
+    certify.certify_decomposability(extracted)
+    spa.spa_decompose(extracted)
+    witness_from_params(extracted)
+    assert len(calls) == 3
+
+
+def test_member_witness_is_read_only_and_witness_from_params_copies_it():
+    p = abcd_from_euler(0.3, 0.9, 2.1)
+    shared = p.witness
+    assert p.witness is shared and not shared.operator.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        shared.operator[0, 0] = 0.0
+    fresh = witness_from_params(p)
+    assert fresh.operator.flags.writeable and fresh.n == 4
+    assert not np.shares_memory(fresh.operator, shared.operator)
+    assert fresh.operator.tobytes() == shared.operator.tobytes()
+    fresh.operator[0, 0] = 7.0
+    assert shared.operator[0, 0] == p.a
+
+
+def all_member_kinds():
+    yield abcd_from_euler(0.3, 0.9, 2.1)
+    yield abcd_from_euler(0.3, 0.9, 2.1, parity="improper")
+    yield ellipse_point("I", 0.25, "-")
+    yield bd_curve("II")[7]
+    yield special_points()[2].params
+    yield params_from_witness(twirl(build_witness(embedding_from_euler(1.2, 2.5, 0.4))))
+    yield WitnessParams(1.0, 1.0, 1.0, 0.0)
+
+
+def test_members_hash_and_their_provenance_cannot_be_written():
+    members = list(all_member_kinds())
+    for p in members:
+        again = WitnessParams(p.a, p.b, p.c, p.d, None if p.provenance is None else dict(p.provenance))
+        assert again == p and hash(again) == hash(p)
+    assert len(set(members)) == len(members)
+    euler = members[0]
+    assert euler.provenance == (
+        ("kind", "euler"), ("alpha", 0.3), ("beta", 0.9), ("gamma", 2.1), ("parity", "proper")
+    )
+    with pytest.raises(TypeError):
+        euler.provenance["parity"] = "improper"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        euler.provenance = {"parity": "improper"}
+    assert dict(euler.provenance)["parity"] == "proper"
+
+
+@pytest.mark.parametrize("round_trip", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy])
+def test_members_survive_pickle_and_deepcopy(round_trip):
+    for p in all_member_kinds():
+        p.witness  # a cached witness is not carried over, so the copy's is read-only too
+        back = round_trip(p)
+        assert back == p and hash(back) == hash(p) and back.provenance == p.provenance
+        assert not back.witness.operator.flags.writeable
+        assert back.witness.operator.tobytes() == p.witness.operator.tobytes()
+
+
+def test_replace_keeps_provenance_and_builds_its_own_witness():
+    p = ellipse_point("II", 0.25)
+    assert p.b != p.d
+    shared = p.witness
+    same = dataclasses.replace(p)
+    assert same == p and same.provenance == p.provenance
+    assert same.witness is not shared and same.witness.operator.tobytes() == shared.operator.tobytes()
+    moved = dataclasses.replace(p, b=p.d, d=p.b)
+    assert moved.provenance == p.provenance
+    swapped = WitnessParams(p.a, p.d, p.c, p.b).witness.operator
+    assert moved.witness.operator.tobytes() == swapped.tobytes()
+    assert moved.witness.operator.tobytes() != shared.operator.tobytes()
