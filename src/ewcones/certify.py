@@ -14,7 +14,7 @@ import numpy as np
 
 from .cones import ConeReport, cone_residuals
 from .family import DECISION_TOL, WitnessParams, _require_tol
-from .linalg import hermitian_eig, is_hermitian, partial_transpose, psd_proved
+from .linalg import _require_hermitian, hermitian_eig, is_hermitian, partial_transpose, psd_proved
 from .maps import Witness, _circulant, _ii_operator
 
 __all__ = [
@@ -196,12 +196,15 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
     """See-saw lower estimate of min <psi x phi| W |psi x phi>.
 
     Alternates exact minimization over each tensor factor (bottom eigenvector
-    of the contracted 4 x 4 matrix) from seeded random product starts. The
+    of the contracted n x n matrix) from seeded random product starts. The
     result is numerical evidence of block positivity, not a proof; it never
     increases when restarts grow under the same seed.
     All restarts run as one batch (memory is O(restarts)); restart r draws its
-    start from the stream [seed, r] and stops on its own rule. Raises
-    ValueError unless restarts >= 1 and seed >= 0.
+    start from the stream [seed, r] and stops on its own rule. Each half-step
+    contracts the outer products of the running factors with the realigned
+    witness, whose row (k, l) and column (i, j) hold <ik|W|jl>, in one
+    two-operand product. Raises ValueError unless restarts >= 1, seed >= 0
+    and the operator is n^2 x n^2, finite and Hermitian within HERMITIAN_TOL.
     """
     if restarts < 1:
         # 0 restarts would return inf, and numpy's message for a negative
@@ -211,7 +214,12 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
         # numpy's own message names neither the seed nor its value
         raise ValueError(f"seed must be non-negative, got {seed}")
     n = w.n
-    w4 = w.operator.reshape(n, n, n, n)
+    if w.operator.shape != (n * n, n * n):
+        # numpy's reshape error names neither the witness nor n
+        raise ValueError(f"witness operator must have shape {(n * n, n * n)} for n = {n}, got {w.operator.shape}")
+    # a NaN would fail deep in LAPACK, and eigh would read a non-Hermitian
+    # operator's lower triangle alone
+    w2 = _require_hermitian(w.operator).reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
     psi = np.empty((restarts, n), dtype=complex)
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
@@ -223,10 +231,14 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
         if active.size == 0:
             break
         p = psi[active]
-        # LAPACK here: heuristic search only, certificates use hermitian_eig
-        _, vecs = np.linalg.eigh(np.einsum("ri,ikjl,rj->rkl", p.conj(), w4, p))
+        # LAPACK here: heuristic search only, certificates use hermitian_eig.
+        # einsum, not matmul: BLAS picks its kernel by batch size, and a
+        # restart's value must not depend on how many others run beside it
+        pp = (p.conj()[:, :, None] * p[:, None, :]).reshape(-1, n * n)
+        _, vecs = np.linalg.eigh(np.einsum("rx,yx->ry", pp, w2).reshape(-1, n, n))
         phi = vecs[:, :, 0]
-        vals, vecs = np.linalg.eigh(np.einsum("rk,ikjl,rl->rij", phi.conj(), w4, phi))
+        pp = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(-1, n * n)
+        vals, vecs = np.linalg.eigh(np.einsum("rx,xy->ry", pp, w2).reshape(-1, n, n))
         psi[active] = vecs[:, :, 0]
         old, new = value[active], vals[:, 0]
         done = old - new < SEESAW_FTOL

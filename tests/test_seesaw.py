@@ -1,10 +1,18 @@
 """The batched see-saw against its per-restart loop.
 
 `block_positivity_min` runs every restart in one stacked contraction and one
-stacked eigh per half-step. The reference below is the loop it replaced: one
-restart at a time, one 4 x 4 contraction and one eigh per half-step. Each
-restart keeps its own seed stream and stopping rule, so the two must agree
-bit for bit, including restarts that run to the iteration cap.
+stacked eigh per half-step. Each half-step contracts the running factors'
+outer products with the realigned witness, whose row (k, l) and column (i, j)
+hold <ik|W|jl>, in one two-operand einsum. The reference below runs the same
+realigned contraction on a one-row batch, one restart at a time. Each restart
+keeps its own seed stream and stopping rule, so the two must agree bit for
+bit, including restarts that run to the iteration cap.
+
+The three-operand einsums the see-saw used before the realignment stay here
+as a second reference: the contraction must match them to rounding, and the
+see-saw's value must stay within SEESAW_FTOL of their loop. The corpus holds
+a random complex Hermitian witness and an n = 3 witness, on which a swapped
+transpose cannot pass as it can on the real, symmetric family witnesses.
 """
 import math
 
@@ -12,29 +20,51 @@ import numpy as np
 import pytest
 
 from ewcones.certify import SEESAW_FTOL, SEESAW_MAX_ITER, block_positivity_min
-from ewcones.family import WitnessParams, abcd_from_euler, witness_from_params
-from ewcones.maps import Witness, max_entangled_projector
+from ewcones.family import WitnessParams, abcd_from_euler, n3_abc, witness_from_params
+from ewcones.maps import Witness, _circulant, _ii_operator, max_entangled_projector
 
 
-def ref_block_positivity_min(w, restarts, seed):
-    """The former loop; also returns how many restarts hit the iteration cap."""
+def realigned_halves(w):
+    """The see-saw's two half-step contractions on the realigned witness."""
+    n = w.n
+    w2 = np.asarray(w.operator, dtype=complex).reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
+
+    def outer(v):
+        return (v.conj()[:, :, None] * v[:, None, :]).reshape(-1, n * n)
+
+    return (
+        lambda p: np.einsum("rx,yx->ry", outer(p), w2).reshape(-1, n, n),
+        lambda phi: np.einsum("rx,xy->ry", outer(phi), w2).reshape(-1, n, n),
+    )
+
+
+def former_halves(w):
+    """The three-operand einsums the see-saw ran before the realignment."""
     n = w.n
     w4 = w.operator.reshape(n, n, n, n)
+    return (
+        lambda p: np.einsum("ri,ikjl,rj->rkl", p.conj(), w4, p),
+        lambda phi: np.einsum("rk,ikjl,rl->rij", phi.conj(), w4, phi),
+    )
+
+
+def ref_block_positivity_min(w, restarts, seed, halves=realigned_halves):
+    """The per-restart loop on one-row batches; also returns how many restarts hit the iteration cap."""
+    n = w.n
+    first, second = halves(w)
     best = math.inf
     capped = 0
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        psi /= np.linalg.norm(psi)
+        psi = (psi / np.linalg.norm(psi))[None, :]
         value = math.inf
         for _ in range(SEESAW_MAX_ITER):
-            m = np.einsum("i,ikjl,j->kl", psi.conj(), w4, psi)
-            vals, vecs = np.linalg.eigh(m)
-            phi = vecs[:, 0]
-            m = np.einsum("k,ikjl,l->ij", phi.conj(), w4, phi)
-            vals, vecs = np.linalg.eigh(m)
-            psi = vecs[:, 0]
-            new_value = float(vals[0])
+            vals, vecs = np.linalg.eigh(first(psi))
+            phi = vecs[:, :, 0]
+            vals, vecs = np.linalg.eigh(second(phi))
+            psi = vecs[:, :, 0]
+            new_value = float(vals[0, 0])
             if value - new_value < SEESAW_FTOL:
                 value = min(value, new_value)
                 break
@@ -49,6 +79,18 @@ def same_bits(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+def random_hermitian_witness(n, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    return Witness(n=n, operator=(m + m.conj().T) / 2)
+
+
+def n3_witness(alpha):
+    """The n = 3 circulant witness of the planar rotation by alpha."""
+    p = n3_abc(alpha)
+    return Witness(n=3, operator=_ii_operator(_circulant([p.a, p.b, p.c]).ravel(), _circulant([p.a, -1.0, -1.0])))
+
+
 def rotation_members():
     rng = np.random.default_rng(2012)
     for k in range(4):
@@ -60,6 +102,8 @@ WITNESSES = {
     "reduction": witness_from_params(WitnessParams(0.0, 1.0, 1.0, 1.0)),
     "1110": witness_from_params(WitnessParams(1.0, 1.0, 1.0, 0.0)),
     "minus_projector": Witness(n=4, operator=-max_entangled_projector(4)),
+    "random_hermitian": random_hermitian_witness(4, 2012),
+    "n3": n3_witness(1.0),
 }
 
 
@@ -97,3 +141,43 @@ def test_restarts_below_one_are_named_in_the_error(restarts):
     # 0 restarts used to return inf, and -2 numpy's bare "negative dimensions"
     with pytest.raises(ValueError, match=f"^restarts must be at least 1, got {restarts}$"):
         block_positivity_min(WITNESSES["1110"], restarts=restarts, seed=0)
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_realigned_contraction_matches_former_einsums(name):
+    w = WITNESSES[name]
+    rng = np.random.default_rng(17)
+    v = rng.standard_normal((9, w.n)) + 1j * rng.standard_normal((9, w.n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    bound = 1e-15 * np.max(np.abs(w.operator))
+    for got, former in zip(realigned_halves(w), former_halves(w)):
+        assert np.max(np.abs(got(v) - former(v))) <= bound, name
+
+
+def test_block_positivity_stays_within_ftol_of_former_loop():
+    members = list(rotation_members()) + list(WITNESSES.values())
+    for k, w in enumerate(members):
+        former, _ = ref_block_positivity_min(w, 16, k % 4, halves=former_halves)
+        assert abs(block_positivity_min(w, restarts=16, seed=k % 4) - former) <= SEESAW_FTOL, k
+
+
+def test_nan_entry_is_named_in_the_error():
+    op = WitnessParams(1.0, 0.75, 0.5, 0.75).witness.operator.copy()
+    op[3, 5] = np.nan
+    # LAPACK used to fail with "Eigenvalues did not converge"
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        block_positivity_min(Witness(n=4, operator=op), restarts=2, seed=0)
+
+
+def test_non_hermitian_operator_is_named_in_the_error():
+    # eigh used to read the lower triangle alone and return -0.0113
+    op = WitnessParams(1.0, 0.75, 0.5, 0.75).witness.operator + 1j * np.triu(np.ones((16, 16)), 1)
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian: max \|m - m\^dagger\| = 1\.000e\+00$"):
+        block_positivity_min(Witness(n=4, operator=op), restarts=2, seed=0)
+
+
+def test_operator_shape_must_match_n():
+    # numpy used to fail with "cannot reshape array of size 256"
+    w = Witness(n=3, operator=WitnessParams(1.0, 0.75, 0.5, 0.75).witness.operator)
+    with pytest.raises(ValueError, match=r"^witness operator must have shape \(9, 9\) for n = 3, got \(16, 16\)$"):
+        block_positivity_min(w, restarts=2, seed=0)
