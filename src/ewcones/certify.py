@@ -124,20 +124,18 @@ class Certificate:
 
 
 def _choose_epsilon(b: float, d: float) -> tuple[float, tuple[float, float]]:
-    if b > 0 and d > 0:
-        eps = math.sqrt(d / b)
-    elif b > 0:
-        # d = 0: midpoint of the violation interval
+    # the pairing 4 (d / eps + b eps - b - d) = 4 (eps - 1)(b eps - d) / eps is
+    # negative strictly between its roots 1 and d / b, the interval's endpoints
+    ratio = d / b if b > 0 else math.inf
+    if ratio <= 0:
+        # d = 0, or d / b underflows: midpoint of the violation interval
         eps = (b + d) / (2.0 * b)
-    else:
-        # b = 0: every eps > 1 violates and the pairing 4 (d / eps - d) falls as eps grows
+    elif math.isinf(ratio):
+        # b = 0, or d / b overflows: every eps > 1 violates and the pairing falls as eps grows
         eps = 2.0**20
-    if b > 0:
-        gap = abs(b - d)
-        interval = ((b + d - gap) / (2.0 * b), (b + d + gap) / (2.0 * b))
     else:
-        interval = (1.0, math.inf)
-    return float(eps), interval
+        eps = math.sqrt(ratio)
+    return float(eps), (min(1.0, ratio), max(1.0, ratio))
 
 
 def _decomposition_parts(a: float, b: float, c: float) -> tuple[np.ndarray, ...]:

@@ -9,12 +9,10 @@ Every run prints one JSON run record to stdout. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -223,18 +221,21 @@ def _cmd_classify(args: argparse.Namespace) -> str:
     return _run_record("classify", inputs, outputs, [], args.seed)
 
 
-def _geometry_rows(cones: tuple[str, ...], resolution: int) -> list[tuple]:
-    rows: list[tuple] = []
-    for cone in cones:
-        cloud = np.asarray(sample_cloud(cone, resolution)).tolist()  # Python floats, one call
-        rows.extend((b, c, d, cone) for b, c, d in cloud)
-    for cone in cones:
-        for p in bd_curve(cone):
-            rows.append((p.b, p.c, p.d, f"bd-{cone}"))
-    for sp in special_points():
-        if sp.ellipse in cones:
-            rows.append((sp.params.b, sp.params.c, sp.params.d, f"special-{sp.label}"))
-    return rows
+def _geometry_rows(cones: tuple[str, ...], resolution: int) -> list[tuple[str, list]]:
+    """The geometry output as (tag, rows) segments, each row [b, c, d] in Python floats.
+
+    Segments come in output order: each cone's surface cloud, then each
+    cone's b = d curve, then one segment per special point on those cones.
+    Both serializers walk the segments, and the counts are their lengths.
+    """
+    segments = [(cone, np.asarray(sample_cloud(cone, resolution)).tolist()) for cone in cones]
+    segments += [(f"bd-{cone}", [[p.b, p.c, p.d] for p in bd_curve(cone)]) for cone in cones]
+    segments += [
+        (f"special-{sp.label}", [[sp.params.b, sp.params.c, sp.params.d]])
+        for sp in special_points()
+        if sp.ellipse in cones
+    ]
+    return segments
 
 
 def _cmd_geometry(args: argparse.Namespace) -> str:
@@ -242,8 +243,8 @@ def _cmd_geometry(args: argparse.Namespace) -> str:
     if args.format == "csv" and args.out is None:
         raise CommandError("usage", "--format csv requires --out", 2)
     cones = ("I", "II") if args.cone == "both" else (args.cone,)
-    rows = _geometry_rows(cones, args.resolution)
-    counts = dict(sorted(Counter(tag for *_, tag in rows).items()))
+    segments = _geometry_rows(cones, args.resolution)
+    counts = dict(sorted((tag, len(rows)) for tag, rows in segments))
     inputs = {
         "cone": args.cone,
         "resolution": args.resolution,
@@ -251,15 +252,14 @@ def _cmd_geometry(args: argparse.Namespace) -> str:
         "out": args.out,
     }
     if args.format == "csv":
+        # the bytes of csv.writer's excel dialect: no field holds a comma, a quote or a line break
         with _open_out(args.out) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["b", "c", "d", "tag"])
-            for b, c, d, tag in rows:
-                writer.writerow([repr(b), repr(c), repr(d), tag])
-        outputs = {"path": args.out, "rows": len(rows), "counts": counts}
+            fh.write("b,c,d,tag\r\n")
+            fh.writelines(f"{b!r},{c!r},{d!r},{tag}\r\n" for tag, rows in segments for b, c, d in rows)
+        outputs = {"path": args.out, "rows": sum(counts.values()), "counts": counts}
         return _run_record("geometry", inputs, outputs, [], None)
     outputs = {
-        "rows": [{"b": b, "c": c, "d": d, "tag": tag} for b, c, d, tag in rows],
+        "rows": [{"b": b, "c": c, "d": d, "tag": tag} for tag, rows in segments for b, c, d in rows],
         "counts": counts,
     }
     text = _run_record("geometry", inputs, outputs, [], None)

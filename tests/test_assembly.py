@@ -576,7 +576,7 @@ def test_euler_rotation_matches_numpy_scalar_form():
 @pytest.mark.parametrize("resolution", [2, 3, 16, 64])
 def test_geometry_rows_match_per_coordinate_floats(resolution):
     for cones in (("I", "II"), ("I",), ("II",)):
-        rows = cli._geometry_rows(cones, resolution)
+        rows = [(b, c, d, tag) for tag, seg in cli._geometry_rows(cones, resolution) for b, c, d in seg]
         expected = ref_geometry_rows(cones, resolution)
         assert rows == expected
         assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in expected]

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ewcones import certify
@@ -97,6 +99,42 @@ def test_certify_optimal_epsilon_and_interval():
     w = witness_from_params(cert.params)
     assert pairing(w, probe_state(lo)) == pytest.approx(0.0, abs=1e-9)
     assert pairing(w, probe_state(hi)) == pytest.approx(0.0, abs=1e-9)
+
+
+# b << d and d << b: the interval's endpoints 1 and d / b come out exactly,
+# including d / b = inf (upper endpoint unbounded) and d / b = 0
+@pytest.mark.parametrize("params, interval", [
+    ((1.49, 1e-20, 0.01, 1.5), (1.0, 1.5 / 1e-20)),
+    ((0.0, 5e-324, 1.5, 1.5), (1.0, math.inf)),
+    ((0.0, 3.0, 0.0, 5e-324), (0.0, 1.0)),
+])
+def test_certify_extreme_ratio_members(params, interval):
+    cert = certify_decomposability(WitnessParams(*params))
+    assert cert.verdict == "indecomposable"
+    assert cert.epsilon_interval == interval
+    lo, hi = interval
+    assert lo < cert.epsilon < hi
+    assert cert.pairing_value < 0
+
+
+SIDE = st.one_of(st.floats(0.0, 1.5), st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-20]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIDE, SIDE, st.floats(0.0, 1.0))
+def test_epsilon_lies_inside_the_violation_interval(b, d, share):
+    assume(abs(b - d) > DECISION_TOL)
+    a = share * (3.0 - b - d)
+    cert = certify_decomposability(WitnessParams(a, b, 3.0 - b - d - a, d))
+    lo, hi = cert.epsilon_interval
+    assert lo < cert.epsilon < hi
+    # the sign of (eps - 1)(b eps - d), the pairing's factors, taken exactly
+    eps = Fraction(cert.epsilon)
+    assert (eps - 1) * (Fraction(b) * eps - Fraction(d)) < 0
+    # the float pairing resolves 4 (sqrt(b) - sqrt(d))^2 only well away from b = d:
+    # at |b - d| near DECISION_TOL it is below the rounding of Tr(W rho)
+    if abs(b - d) > 1e-6:
+        assert cert.pairing_value < 0
 
 
 def test_certify_decomposable_split():

@@ -1,10 +1,12 @@
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 import ewcones
 from ewcones import __version__, certify, cli
 from ewcones.cli import main, matrix_from_pairs, matrix_to_pairs
-from ewcones.cones import cone_residuals
+from ewcones.cones import bd_curve, cone_residuals, sample_cloud, special_points
 from ewcones.family import WitnessParams, abcd_from_euler
 from ewcones.maps import embedding_from_euler, max_entangled_projector
 
@@ -311,6 +313,32 @@ def test_geometry_csv(capsys, tmp_path):
     # numeric fields parse back exactly
     b = float(rows[1][0])
     assert b == 0.5
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 16])
+@pytest.mark.parametrize("cone", ["both", "I", "II"])
+def test_geometry_matches_csv_writer_and_counter(capsys, tmp_path, cone, resolution):
+    cones = ("I", "II") if cone == "both" else (cone,)
+    rows = [(*map(float, row), c) for c in cones for row in sample_cloud(c, resolution)]
+    rows += [(p.b, p.c, p.d, f"bd-{c}") for c in cones for p in bd_curve(c)]
+    rows += [(sp.params.b, sp.params.c, sp.params.d, f"special-{sp.label}")
+             for sp in special_points() if sp.ellipse in cones]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["b", "c", "d", "tag"])
+    writer.writerows([repr(b), repr(c), repr(d), tag] for b, c, d, tag in rows)
+    counts = dict(sorted(Counter(tag for *_, tag in rows).items()))
+    argv = ["geometry", "--cone", cone, "--resolution", str(resolution)]
+    out = tmp_path / "cloud.csv"
+    code, rec = run(capsys, [*argv, "--format", "csv", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == expected.getvalue().encode()
+    assert rec["outputs"]["rows"] == len(rows)
+    assert list(rec["outputs"]["counts"].items()) == list(counts.items())
+    code, rec = run(capsys, argv)
+    assert code == 0
+    assert [(r["b"], r["c"], r["d"], r["tag"]) for r in rec["outputs"]["rows"]] == rows
+    assert list(rec["outputs"]["counts"].items()) == list(counts.items())
 
 
 def test_geometry_csv_requires_out(capsys, monkeypatch):
