@@ -139,11 +139,11 @@ def _choose_epsilon(b: float, d: float) -> tuple[float, tuple[float, float]]:
 
 
 def _decomposition_parts(a: float, b: float, c: float) -> tuple[np.ndarray, ...]:
-    """Gram circulant, P and Q of the split W = P + Q^Gamma on the b = d line."""
+    """Gram circulant, P, Q and Q^Gamma of the split W = P + Q^Gamma on the b = d line."""
     gram = _circulant([a, b - 1.0, c - 1.0, b - 1.0])
     p = _ii_operator(np.zeros(16), gram)
     q_gamma = _ii_operator(_circulant([0.0, b, c, b]).ravel(), _circulant([0.0, -b, -c, -b]))
-    return gram, p, partial_transpose(q_gamma, 4, 4)
+    return gram, p, partial_transpose(q_gamma, 4, 4), q_gamma
 
 
 def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) -> Certificate:
@@ -171,9 +171,9 @@ def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) ->
             epsilon_interval=interval,
             probe=probe,
         )
-    gram, p, q = _decomposition_parts(a, b, c)
+    gram, p, q, q_gamma = _decomposition_parts(a, b, c)
     a_eigs = hermitian_eig(gram).values
-    recon = w.operator - p - partial_transpose(q, 4, 4)
+    recon = w.operator - p - q_gamma
     p_low = hermitian_eig(p).values[0]
     q_low = hermitian_eig(q).values[0]
     return Certificate(
@@ -190,6 +190,17 @@ def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) ->
     )
 
 
+def _seesaw_starts(n: int, restarts: int, seed: int) -> np.ndarray:
+    """Unit start vectors in C^n, one row per restart, from one seeded draw.
+
+    The generator fills the draw in order, so the first k rows do not depend
+    on restarts, and the see-saw's result is prefix-stable in restarts.
+    """
+    z = np.random.default_rng(seed).standard_normal((restarts, 2, n))
+    psi = z[:, 0] + 1j * z[:, 1]
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
 def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float:
     """See-saw lower estimate of min <psi x phi| W |psi x phi>.
 
@@ -197,12 +208,13 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
     of the contracted n x n matrix) from seeded random product starts. The
     result is numerical evidence of block positivity, not a proof; it never
     increases when restarts grow under the same seed.
-    All restarts run as one batch (memory is O(restarts)); restart r draws its
-    start from the stream [seed, r] and stops on its own rule. Each half-step
-    contracts the outer products of the running factors with the realigned
-    witness, whose row (k, l) and column (i, j) hold <ik|W|jl>, in one
-    two-operand product. Raises ValueError unless restarts >= 1, seed >= 0
-    and the operator is n^2 x n^2, finite and Hermitian within HERMITIAN_TOL.
+    All restarts run as one batch (memory is O(restarts)) and each stops on
+    its own rule; restart r starts from row r of `_seesaw_starts`. Each
+    half-step contracts the outer products of the running factors with the
+    realigned witness, whose row (k, l) and column (i, j) hold <ik|W|jl>, in
+    one stacked matmul with one row per restart. Raises ValueError unless
+    restarts >= 1, seed >= 0 and the operator is n^2 x n^2, finite and
+    Hermitian within HERMITIAN_TOL.
     """
     if restarts < 1:
         # 0 restarts would return inf, and numpy's message for a negative
@@ -218,31 +230,33 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
     # a NaN would fail deep in LAPACK, and eigh would read a non-Hermitian
     # operator's lower triangle alone
     w2 = _require_hermitian(w.operator).reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
-    psi = np.empty((restarts, n), dtype=complex)
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        psi[r] = start / np.linalg.norm(start)
+    w2t = np.ascontiguousarray(w2.T)
+    psi = _seesaw_starts(n, restarts, seed)
+    # psi and last hold the running restarts only, in restart order, and
+    # index their positions; a restart's value is written once, when it stops
     value = np.full(restarts, math.inf)
-    active = np.arange(restarts)
+    index = np.arange(restarts)
+    last = value.copy()
     for _ in range(SEESAW_MAX_ITER):
-        if active.size == 0:
+        if index.size == 0:
             break
-        p = psi[active]
         # LAPACK here: heuristic search only, certificates use hermitian_eig.
-        # einsum, not matmul: BLAS picks its kernel by batch size, and a
-        # restart's value must not depend on how many others run beside it
-        pp = (p.conj()[:, :, None] * p[:, None, :]).reshape(-1, n * n)
-        _, vecs = np.linalg.eigh(np.einsum("rx,yx->ry", pp, w2).reshape(-1, n, n))
+        # Outer products shaped (B, 1, n^2), so matmul makes one BLAS call of
+        # the same shape per restart: a 2-D (B, n^2) product would let BLAS
+        # pick its kernel by batch size, and a restart's value must not
+        # depend on how many others run beside it
+        pp = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(-1, 1, n * n)
+        _, vecs = np.linalg.eigh(np.matmul(pp, w2t).reshape(-1, n, n))
         phi = vecs[:, :, 0]
-        pp = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(-1, n * n)
-        vals, vecs = np.linalg.eigh(np.einsum("rx,xy->ry", pp, w2).reshape(-1, n, n))
-        psi[active] = vecs[:, :, 0]
-        old, new = value[active], vals[:, 0]
-        done = old - new < SEESAW_FTOL
-        # a converged restart keeps min(old, new); ties keep old, as min() does
-        value[active] = np.where(done & (old <= new), old, new)
-        active = active[~done]
+        pp = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(-1, 1, n * n)
+        vals, vecs = np.linalg.eigh(np.matmul(pp, w2).reshape(-1, n, n))
+        new = vals[:, 0]
+        done = last - new < SEESAW_FTOL
+        # a converged restart keeps min(last, new); ties keep last, as min() does
+        value[index[done]] = np.where(last <= new, last, new)[done]
+        keep = ~done
+        index, last, psi = index[keep], new[keep], vecs[keep, :, 0]
+    value[index] = last  # restarts stopped by the iteration cap
     return float(min(value))  # first of equal values, as a running min
 
 

@@ -247,10 +247,12 @@ def test_probe_matches_matrix_units(epsilon):
 def test_decomposition_parts_match_matrix_units_on_bd_lines():
     for cone in ("I", "II"):
         for p in bd_curve(cone):
-            gram, p_op, q_op = _decomposition_parts(p.a, p.b, p.c)
+            gram, p_op, q_op, q_gamma = _decomposition_parts(p.a, p.b, p.c)
             ref_p, ref_q = ref_decomposition_parts(p.a, p.b, p.c)
             assert_bitwise(p_op, ref_p)
             assert_bitwise(q_op, ref_q)
+            # the reconstruction error subtracts Q^Gamma as returned
+            assert_bitwise(q_gamma, linalg.partial_transpose(ref_q, 4, 4))
             ii = np.arange(0, 16, 5)
             assert np.array_equal(gram, p_op[np.ix_(ii, ii)].real)
 

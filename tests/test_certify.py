@@ -211,7 +211,7 @@ def test_block_positivity_finds_negative_directions():
 
 
 def test_block_positivity_restart_prefix():
-    # restart r reuses rng stream [seed, r]: more restarts never raise the min
+    # restart r keeps row r of the seeded draw: more restarts never raise the min
     w = witness_from_params(WitnessParams(1.0, 1.0, 1.0, 0.0))
     four = block_positivity_min(w, restarts=4, seed=3)
     eight = block_positivity_min(w, restarts=8, seed=3)

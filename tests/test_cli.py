@@ -280,6 +280,16 @@ def test_seed_resolution(capsys, monkeypatch):
     assert code == 0 and rec["seed"] == cli.DEFAULT_SEED
 
 
+def test_fixed_seed_classify_record_is_byte_identical(capsys):
+    argv = ["classify", "--params", "0.5,0.75,1.0,0.75", "--restarts", "64", "--seed", "3"]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["seed"] == 3
+
+
 def test_geometry_json(capsys):
     code, rec = run(capsys, ["geometry", "--cone", "I", "--resolution", "4"])
     assert code == 0

@@ -110,7 +110,7 @@ def family_operators():
         params = abcd_from_euler(*rng.uniform(0.0, 2.0 * np.pi, 3), parity=parity)
         yield f"W-{parity}-{k}", witness_from_params(params).operator
     for b in (0.5, 0.75, 1.0):
-        _, p, q = _decomposition_parts(2.0 - 2.0 * b, b, 1.0)
+        _, p, q, _ = _decomposition_parts(2.0 - 2.0 * b, b, 1.0)
         yield f"P-b{b}", p
         yield f"Q-b{b}", q
     for eps in (0.5, 1.0, 2.0, 2.0**20):
@@ -259,7 +259,7 @@ def assert_same_bits(m):
 def bd_curve_parts():
     for cone in ("I", "II"):
         for params in bd_curve(cone):
-            yield from _decomposition_parts(params.a, params.b, params.c)
+            yield from _decomposition_parts(params.a, params.b, params.c)[:3]
 
 
 @pytest.mark.parametrize("m", [m for _, m in FAMILY], ids=[name for name, _ in FAMILY])

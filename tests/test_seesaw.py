@@ -3,10 +3,15 @@
 `block_positivity_min` runs every restart in one stacked contraction and one
 stacked eigh per half-step. Each half-step contracts the running factors'
 outer products with the realigned witness, whose row (k, l) and column (i, j)
-hold <ik|W|jl>, in one two-operand einsum. The reference below runs the same
-realigned contraction on a one-row batch, one restart at a time. Each restart
-keeps its own seed stream and stopping rule, so the two must agree bit for
-bit, including restarts that run to the iteration cap.
+hold <ik|W|jl>, in one stacked matmul of shape (B, 1, n^2) x (n^2, n^2): one
+BLAS call of the same shape per restart, whatever the batch size B. The
+reference below runs the same contraction on a one-row batch, one restart at
+a time, from the same starts: one seeded draw, row r for restart r. Each
+restart keeps its own stopping rule, so the two must agree bit for bit,
+including restarts that run to the iteration cap. Two properties carry that
+agreement and are tested on their own: a stacked matmul equals its rows
+contracted one at a time, and the first k starts do not depend on the
+restart count.
 
 The three-operand einsums the see-saw used before the realignment stay here
 as a second reference: the contraction must match them to rounding, and the
@@ -19,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from ewcones.certify import SEESAW_FTOL, SEESAW_MAX_ITER, block_positivity_min
+from ewcones.certify import SEESAW_FTOL, SEESAW_MAX_ITER, _seesaw_starts, block_positivity_min
 from ewcones.family import WitnessParams, abcd_from_euler, n3_abc, witness_from_params
 from ewcones.maps import Witness, _circulant, _ii_operator, max_entangled_projector
 
@@ -28,13 +33,14 @@ def realigned_halves(w):
     """The see-saw's two half-step contractions on the realigned witness."""
     n = w.n
     w2 = np.asarray(w.operator, dtype=complex).reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
+    w2t = np.ascontiguousarray(w2.T)
 
     def outer(v):
-        return (v.conj()[:, :, None] * v[:, None, :]).reshape(-1, n * n)
+        return (v.conj()[:, :, None] * v[:, None, :]).reshape(-1, 1, n * n)
 
     return (
-        lambda p: np.einsum("rx,yx->ry", outer(p), w2).reshape(-1, n, n),
-        lambda phi: np.einsum("rx,xy->ry", outer(phi), w2).reshape(-1, n, n),
+        lambda p: np.matmul(outer(p), w2t).reshape(-1, n, n),
+        lambda phi: np.matmul(outer(phi), w2).reshape(-1, n, n),
     )
 
 
@@ -48,16 +54,21 @@ def former_halves(w):
     )
 
 
+def ref_starts(n, restarts, seed):
+    """Unit starts, row r for restart r, from one draw of the seeded generator."""
+    z = np.random.default_rng(seed).standard_normal((restarts, 2, n))
+    psi = z[:, 0] + 1j * z[:, 1]
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
 def ref_block_positivity_min(w, restarts, seed, halves=realigned_halves):
     """The per-restart loop on one-row batches; also returns how many restarts hit the iteration cap."""
-    n = w.n
     first, second = halves(w)
+    starts = ref_starts(w.n, restarts, seed)
     best = math.inf
     capped = 0
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        psi = (psi / np.linalg.norm(psi))[None, :]
+        psi = starts[r : r + 1]
         value = math.inf
         for _ in range(SEESAW_MAX_ITER):
             vals, vecs = np.linalg.eigh(first(psi))
@@ -118,9 +129,33 @@ def test_batched_seesaw_matches_restart_loop(restarts):
 
 def test_batched_seesaw_matches_loop_at_iteration_cap():
     w = WITNESSES["1110"]
-    expected, capped = ref_block_positivity_min(w, 16, 0)
-    assert capped > 0, "no restart of (1,1,1,0), seed 0 reaches the iteration cap"
-    assert same_bits(block_positivity_min(w, restarts=16, seed=0), expected)
+    expected, capped = ref_block_positivity_min(w, 16, 1)
+    assert capped > 0, "no restart of (1,1,1,0), seed 1 reaches the iteration cap"
+    assert same_bits(block_positivity_min(w, restarts=16, seed=1), expected)
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_stacked_contraction_equals_one_row_batches(name):
+    # a numpy that folded the stacked matmul into one gemm would let the
+    # batch size pick the kernel, and the summation order with it
+    w = WITNESSES[name]
+    rng = np.random.default_rng(29)
+    for batch in (1, 7, 64, 129):
+        v = rng.standard_normal((batch, w.n)) + 1j * rng.standard_normal((batch, w.n))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        for half in realigned_halves(w):
+            got = half(v)
+            rows = np.concatenate([half(v[r : r + 1]) for r in range(batch)])
+            assert got.tobytes() == rows.tobytes(), (name, batch)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_starts_for_fewer_restarts_are_a_prefix(n):
+    for seed in (0, 1, 2**40):
+        full = _seesaw_starts(n, 64, seed)
+        assert full.tobytes() == ref_starts(n, 64, seed).tobytes()
+        for k in (1, 2, 7, 63):
+            assert _seesaw_starts(n, k, seed).tobytes() == full[:k].tobytes(), (n, seed, k)
 
 
 def test_block_positivity_restart_prefix_is_exact():
