@@ -14,7 +14,7 @@ import numpy as np
 
 from .cones import ConeReport, cone_residuals
 from .family import DECISION_TOL, WitnessParams, _require_tol
-from .linalg import _require_hermitian, hermitian_eig, is_hermitian, partial_transpose, psd_proved
+from .linalg import _psd_proved_checked, _require_hermitian, hermitian_eig, partial_transpose
 from .maps import Witness, _circulant, _ii_operator
 
 __all__ = [
@@ -266,7 +266,8 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
     A negative value certifies entanglement of rho; when rho is PPT it
     certifies PPT entanglement. The state is accepted when a shifted Cholesky
     proves that its Hermitian part has no eigenvalue below -tol
-    (`psd_proved`). Only when that proof fails does the Jacobi spectrum
+    (`psd_proved`, handed the skew max|rho - rho^dagger| <= tol measured by
+    the Hermitian check). Only when that proof fails does the Jacobi spectrum
     decide, and a rejection quotes its lowest eigenvalue. Raises ValueError
     unless tol is finite and non-negative.
     """
@@ -276,9 +277,10 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
         raise ValueError(f"expected shape {w.operator.shape}, got {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("state entries must be finite")
-    if not is_hermitian(rho, tol):
+    skew = float(np.max(np.abs(rho - rho.conj().T)))
+    if not skew <= tol:
         raise ValueError("state is not Hermitian")
-    if not psd_proved(rho, tol):
+    if not _psd_proved_checked(rho, skew, tol):
         # the Hermitian part: the solver's own, tighter check must not reject
         # a skew that tol accepted. Written as rho plus half the skew, it
         # equals rho exactly when rho is exactly Hermitian and moves each

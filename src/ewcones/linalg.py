@@ -1,19 +1,10 @@
-"""Dense linear algebra kernels for small complex matrices.
+"""Dense linear algebra kernels for small complex matrices (16 x 16 at most here).
 
-Everything here operates on numpy arrays of modest size (16 x 16 at most in
-this package), so clarity wins over asymptotics. The Hermitian eigensolver
-returns the spectrum only, which is all a certificate reads; it is a Jacobi
-iteration with two-sided unitary rotations in round-robin order: each
-round rotates n/2 disjoint index pairs at once as array operations, and n - 1
-rounds make a sweep over all pairs (Brent & Luk 1985; Luk & Park 1989 show
-this ordering equivalent to the cyclic-by-rows one, so its convergence
-guarantee carries over). A matrix whose nonzero pattern is not connected is
-solved block by block: up to a symmetric permutation it is block diagonal,
-and rotations inside a block keep the zeros outside it, so the split is
-exact. A connected matrix takes the whole-matrix sweeps unchanged.
-
-A yes/no positivity question needs no spectrum: `psd_proved` settles it by
-one shifted Cholesky factorization whose completion is a proof (Rump 2006).
+`hermitian_eig` returns the spectrum, all a certificate reads, by Jacobi
+rotations. A yes/no positivity question needs none: `psd_proved` settles it
+by one shifted Cholesky factorization whose completion is a proof (Rump
+2006), written only in the lower triangle that numpy's `cholesky` reads
+(LAPACK UPLO='L'); its core takes the skew max|m - m^H| `detect` measured.
 """
 from __future__ import annotations
 
@@ -38,6 +29,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 _ETA = math.ulp(0.0)  # smallest subnormal
 # a pair coupled at or below this keeps the identity rotation, which cannot move the mass
 _NEGLIGIBLE = 1e-300
+_tri = cache(np.tri)  # triangle masks, shared by callers that only read them
 
 
 class EigenResult(NamedTuple):
@@ -245,19 +237,17 @@ def hermitian_eig(m: np.ndarray) -> EigenResult:
     Each sweep visits every index pair once, in the rounds of `_round_robin`:
     a round rotates its n/2 disjoint pairs together, as array operations, by
     two-sided unitary plane rotations that zero each pair's off-diagonal
-    entry. Sweeps run until the off-diagonal Frobenius mass drops below
-    JACOBI_TOL times the Frobenius norm of the input.
-
-    An input whose nonzero pattern is not connected is block diagonal up to
-    a symmetric permutation. Exact zeros stay zero under any rotation inside
-    a block, so the split is exact: the spectrum is the union of the blocks'
-    spectra, and `_blockwise_diagonal` solves each block on its own. A
-    connected input takes the whole-matrix sweeps unchanged.
+    entry (Brent & Luk 1985; Luk & Park 1989 show this ordering equivalent
+    to the cyclic-by-rows one, so its convergence guarantee carries over).
+    Sweeps run until the off-diagonal Frobenius mass drops below JACOBI_TOL
+    times the Frobenius norm of the input. An input whose nonzero pattern is
+    not connected is block diagonal up to a symmetric permutation, and
+    rotations inside a block keep the zeros outside it, so the spectrum is
+    the union of the blocks' spectra: `_blockwise_diagonal` solves each.
 
     Returns the eigenvalues in ascending order, without eigenvectors; raises
     numpy.linalg.LinAlgError (a ValueError) when JACOBI_MAX_SWEEPS sweeps
-    leave the mass of the matrix, or of one of its blocks, above its
-    threshold.
+    leave the mass of the matrix, or of a block, above its threshold.
     """
     a = _require_hermitian(m)
     n = a.shape[0]
@@ -278,57 +268,27 @@ def hermitian_eig(m: np.ndarray) -> EigenResult:
 
 
 def _real_embedding(a: np.ndarray) -> np.ndarray:
-    """[[X, -Y], [Y, X]] for the Hermitian X + iY that shares the lower triangle of a."""
+    """The lower triangle of [[X, -Y], [Y, X]], for the Hermitian X + iY that
+    shares a's lower triangle; the rest is unset. Parts are taken as x + 0.0,
+    which makes -0.0 into +0.0 as forming X + iY does."""
     n = a.shape[0]
-    lower = np.tril(a, -1)
-    h = lower + lower.conj().T + np.diag(a.diagonal().real)
     e = np.empty((2 * n, 2 * n))
-    e[:n, :n] = e[n:, n:] = h.real
-    e[n:, :n] = h.imag
-    np.negative(h.imag, out=e[:n, n:])
+    e[:n, :n] = e[n:, n:] = a.real + 0.0
+    y = np.zeros((n, n))
+    np.add(a.imag, 0.0, out=y, where=_tri(n, k=-1, dtype=bool))
+    np.subtract(y, y.T, out=e[n:, :n])
     return e
 
 
-def psd_proved(m: np.ndarray, tol: float) -> bool:
-    """True only when a Cholesky factorization proves lambda_min(m) >= -tol.
+def _scaled_up(x: float, exponent: int) -> float:
+    """x * 2**-exponent, exact unless subnormal; there ldexp rounds, and this rounds up so c never shrinks."""
+    y = math.ldexp(x, -exponent)
+    return math.nextafter(y, math.inf) if math.ldexp(y, exponent) < x else y
 
-    m may be real or complex; the claim is about its Hermitian part, so a
-    skew of m can never void it. False means "not proved", not "not PSD".
-    Raises ValueError on a non-square matrix or non-finite entries.
 
-    Theorem (Rump, "Verification of positive definiteness", BIT 46, 2006,
-    built on Demmel's backward error of Cholesky): if floating-point
-    Cholesky of a real symmetric N x N matrix A runs to completion with
-    factor R, then R^T R = A + dA with |dA| <= gamma_k |R^T| |R|, where
-    gamma_k = k u / (1 - k u) and u = 2**-53. As R^T R is PSD and
-    ||R||_F^2 <= sum |a_ii| / (1 - gamma_k), lambda_min(A) >= -||dA||_2 >=
-    -gamma_k / (1 - gamma_k) sum |a_ii|. So when Cholesky of A + (tol - c) I
-    completes, with c at least that bound for the shifted matrix, then
-    A >= -tol I. The bound holds for any order of evaluating each entry's
-    sum of products, with or without fused multiply-adds, and for a division
-    by the pivot or a multiplication by its reciprocal. LAPACK's blocked and
-    recursive potrf only regroups those sums into syrk, gemm and trsm
-    updates, so it is covered; the bound needs classical products, and
-    reference LAPACK and OpenBLAS use no Strassen-type ones. Demmel's
-    analysis gives k = N + 1; k = N + 2 here allows the extra rounding of a
-    reciprocal.
-
-    Hermitian m = X + iY is embedded as the real symmetric [[X, -Y], [Y, X]],
-    whose spectrum is that of m, doubled; the embedding reads the lower
-    triangle of m only. Both m and tol are first scaled by the power of two
-    that `hermitian_eig` uses. The constant is
-
-        c = 2 (gamma_k / (1 - gamma_k) (sum |a_ii| + N tol) + n max|m - m^H|
-               + (2 N^2 + N + 1) eta)
-
-    with n the order of m and eta the smallest subnormal. The first term is
-    Rump's, for the shifted matrix; the second bounds the distance from the
-    Hermitian part of m to the triangle that was read; the third bounds
-    underflow in the factorization and in the scaling of m and tol. Doubling
-    absorbs the rounding of the shift on the diagonal and of evaluating c
-    and tol - c, each a small fraction of the first term.
-    """
-    a, exponent = _scaled_to_unit(_require_square_finite(m))
+def _psd_proved_checked(a: np.ndarray, skew: float | None, tol: float) -> bool:
+    """`psd_proved` of a checked a, given its skew max|a - a^H| or None to measure it scaled."""
+    a, exponent = _scaled_to_unit(a)
     n = a.shape[0]
     size = 2 * n
     e = _real_embedding(a)
@@ -337,7 +297,7 @@ def psd_proved(m: np.ndarray, tol: float) -> bool:
     mantissa, tol_exponent = math.frexp(tol)
     scaled_tol = math.ldexp(mantissa, min(tol_exponent - exponent, size.bit_length()))
     gamma = (size + 2) * _UNIT_ROUNDOFF / (1 - (size + 2) * _UNIT_ROUNDOFF)
-    skew = float(np.max(np.abs(a - a.conj().T), initial=0.0))
+    skew = float(np.max(np.abs(a - a.conj().T), initial=0.0)) if skew is None else _scaled_up(skew, exponent)
     c = 2.0 * (
         gamma / (1 - gamma) * (float(np.abs(e.diagonal()).sum()) + size * scaled_tol)
         + n * skew
@@ -352,6 +312,48 @@ def psd_proved(m: np.ndarray, tol: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def psd_proved(m: np.ndarray, tol: float) -> bool:
+    """True only when a Cholesky factorization proves lambda_min(m) >= -tol.
+
+    m may be real or complex; the claim is about its Hermitian part, so a
+    skew of m can never void it. False means "not proved", not "not PSD".
+    Raises ValueError on a non-square matrix or non-finite entries.
+
+    Theorem (Rump, "Verification of positive definiteness", BIT 46, 2006,
+    built on Demmel's backward error of Cholesky): if floating-point
+    Cholesky of a real symmetric N x N matrix A completes with factor R,
+    then R^T R = A + dA with |dA| <= gamma_k |R^T| |R|, gamma_k =
+    k u / (1 - k u), u = 2**-53. As R^T R is PSD and ||R||_F^2 <=
+    sum |a_ii| / (1 - gamma_k), lambda_min(A) >= -gamma_k / (1 - gamma_k)
+    sum |a_ii|. So when Cholesky of A + (tol - c) I completes, with c at
+    least that bound for the shifted matrix, A >= -tol I. The bound holds
+    for any order of each entry's sum of products, with or without fused
+    multiply-adds, and for division by the pivot or multiplication by its
+    reciprocal; LAPACK's blocked and recursive potrf only regroups those
+    sums into syrk, gemm and trsm updates, with classical products in
+    reference LAPACK and OpenBLAS, so it is covered. Demmel's analysis gives
+    k = N + 1; k = N + 2 allows the extra rounding of a reciprocal.
+
+    Hermitian m = X + iY is embedded as the real symmetric [[X, -Y], [Y, X]],
+    whose spectrum is that of m, doubled. The embedding reads the lower
+    triangle of m, and only its own lower triangle is written, as numpy's
+    `cholesky` reads no other (LAPACK potrf, UPLO='L'). m and tol are first
+    scaled by the power of two that `hermitian_eig` uses. The constant is
+
+        c = 2 (gamma_k / (1 - gamma_k) (sum |a_ii| + N tol) + n max|m - m^H|
+               + (2 N^2 + N + 1) eta)
+
+    with n the order of m and eta the smallest subnormal. The first term is
+    Rump's, for the shifted matrix; the second bounds the distance from the
+    Hermitian part of m to the triangle read (`detect` scales the skew it
+    measured on m, this measures it on the scaled m); the third bounds
+    underflow in the factorization and in the scaling of m and tol. Doubling
+    absorbs the rounding of the shift on the diagonal and of evaluating c
+    and tol - c, each a small fraction of the first term.
+    """
+    return _psd_proved_checked(_require_square_finite(m), None, tol)
 
 
 def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -387,7 +387,7 @@ def test_probe_checks_follow_the_block_rule_without_a_solver(monkeypatch):
     def no_solver(*args):
         raise AssertionError("a probe check ran a numerical PSD test")
 
-    monkeypatch.setattr(certify, "psd_proved", no_solver)
+    monkeypatch.setattr(certify, "_psd_proved_checked", no_solver)
     monkeypatch.setattr(certify, "hermitian_eig", no_solver)
     tol = Fraction(EVIDENCE_TOL)
     ii = [5 * i for i in range(4)]

@@ -174,7 +174,7 @@ def test_classify_serializes_the_certificate_probe(capsys, monkeypatch):
 
     # neither the probe checks nor anything else in this classify run
     # asks a numerical PSD test
-    monkeypatch.setattr(certify, "psd_proved", no_solver)
+    monkeypatch.setattr(certify, "_psd_proved_checked", no_solver)
     monkeypatch.setattr(certify, "hermitian_eig", no_solver)
     code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--restarts", "2"])
     assert code == 0

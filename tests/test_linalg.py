@@ -103,23 +103,29 @@ def with_lowest_eigenvalue(rng, n, low, complex_entries):
     return (m + m.conj().T) / 2
 
 
-def test_psd_proved_is_sound_at_the_boundary():
-    # lambda_min sits at -tol + k ulp for k from -4096 to 4096: every True must
-    # hold against LAPACK, and both answers must occur, so the test bites
+def boundary_corpus():
+    """(m, tol) of orders 1 to 16, real and complex, with lambda_min(m) at
+    -tol + k ulp for k from -4096 to 4096, each scaled by five powers of two."""
     rng = np.random.default_rng(80)
     tol = 2.0**-10
     ulp = np.finfo(float).eps
-    answers = set()
     for n in range(1, 17):
         for complex_entries in (False, True):
             for k in (-4096, -256, -16, -1, 0, 1, 16, 256, 4096):
                 base = with_lowest_eigenvalue(rng, n, -tol + k * ulp, complex_entries)
                 for power in (-900, -300, 0, 300, 1000):
-                    m = base * 2.0**power
-                    proved = psd_proved(m, tol * 2.0**power)
-                    answers.add(proved)
-                    if proved:
-                        assert np.linalg.eigvalsh(m)[0] >= -tol * 2.0**power, (n, k, power)
+                    yield base * 2.0**power, tol * 2.0**power
+
+
+def test_psd_proved_is_sound_at_the_boundary():
+    # every True must hold against LAPACK, and both answers must occur, so
+    # the test bites
+    answers = set()
+    for m, tol in boundary_corpus():
+        proved = psd_proved(m, tol)
+        answers.add(proved)
+        if proved:
+            assert np.linalg.eigvalsh(m)[0] >= -tol, (m.shape, tol)
     assert answers == {True, False}
 
 
