@@ -1,9 +1,11 @@
 """Decomposability certificates, block positivity evidence, and detection.
 
-A circulant family witness is decomposable exactly when b = d. The
+A circulant family witness is decomposable only when b = d. The
 indecomposable side is certified by a fixed PPT probe state whose pairing
 with the witness is negative; the decomposable side by an explicit split
-W = P + Q^Gamma with P and Q positive semidefinite.
+W = P + Q^Gamma with P and Q positive semidefinite. On b = d a split whose
+P or Q is not PSD gives the third verdict, not-block-positive, certified by
+a product vector with a negative expectation.
 """
 from __future__ import annotations
 
@@ -89,7 +91,10 @@ class Certificate:
     negative pairing value, and the full interval of violating probe parameters.
     Decomposable certificates carry the split W = P + Q^Gamma, the spectrum
     of the Gram-type matrix controlling P, and the reconstruction error.
-    Both carry the cone membership report, taken at the same tolerance.
+    Not-block-positive certificates carry the same split, with P or Q not
+    PSD, and the real product vector x (x) y whose expectation
+    product_value = <x y|W|x y> is negative. All carry the cone membership
+    report, taken at the same tolerance.
     """
 
     verdict: str
@@ -106,6 +111,8 @@ class Certificate:
     q_psd: bool | None = None
     a_eigenvalues: np.ndarray | None = None
     reconstruction_error: float | None = None
+    product_vector: tuple[tuple[float, ...], tuple[float, ...]] | None = None
+    product_value: float | None = None
 
     @property
     def on_cone(self) -> bool:
@@ -119,7 +126,8 @@ class Certificate:
             return None
         return (
             "parameters do not satisfy either cone equation; "
-            "verdict applies to the assembled circulant witness"
+            "verdict applies to the assembled circulant witness, "
+            "which need not be block positive (on b = d: not-block-positive)"
         )
 
 
@@ -146,13 +154,37 @@ def _decomposition_parts(a: float, b: float, c: float) -> tuple[np.ndarray, ...]
     return gram, p, partial_transpose(q_gamma, 4, 4), q_gamma
 
 
+def _product_evidence(a: float, b: float, c: float, d: float) -> tuple[float, tuple, tuple]:
+    """The lowest of four closed-form product expectations <x y|W|x y>, with x and y.
+
+    x = y = (|0> + |2>)/sqrt 2 gives (a + c - 1)/2, which is 1 - b on b = d;
+    x = y = (|0> + |1>)/sqrt 2 gives (2a + b + d - 2)/4, which is (a - c + 1)/4
+    there; x = |0> with y = |1> or |2> gives b or c. On b = d the first two
+    are a quarter of the Gram eigenvalues 4(1 - b) and a - c + 1 of the split's
+    P, and b and c are half of Q's, so a failed P or Q makes one negative.
+    """
+    h = math.sqrt(0.5)
+    e0, x02, x01 = (1.0, 0.0, 0.0, 0.0), (h, 0.0, h, 0.0), (h, h, 0.0, 0.0)
+    candidates = (
+        ((a + c - 1.0) / 2.0, x02, x02),
+        ((2.0 * a + b + d - 2.0) / 4.0, x01, x01),
+        (b, e0, (0.0, 1.0, 0.0, 0.0)),
+        (c, e0, (0.0, 0.0, 1.0, 0.0)),
+    )
+    return min(candidates, key=lambda t: t[0])
+
+
 def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) -> Certificate:
     """Decide decomposability of the circulant witness and certify it.
 
-    The verdict is driven by |b - d| against tol. Points off the cone
-    surfaces are still processed (the circulant algebra does not need the
-    cone law) but the certificate carries a warning. Raises ValueError
-    unless tol is finite and non-negative.
+    The verdict is driven by |b - d| against tol. Within tol the split
+    W = P + Q^Gamma decides: decomposable when P and Q are PSD, otherwise
+    not-block-positive with a negative product expectation as evidence. The
+    Gram matrix of P has b - d as an exact eigenvalue, which tol admits, so
+    P is PSD to within EVIDENCE_TOL + |b - d| and Q to within EVIDENCE_TOL.
+    Points off the cone surfaces are still processed (the circulant algebra
+    does not need the cone law) but the certificate carries a warning.
+    Raises ValueError unless tol is finite and non-negative.
     """
     cones = cone_residuals(params, tol=tol)  # checks tol first
     a, b, c, d = params.a, params.b, params.c, params.d
@@ -174,20 +206,23 @@ def certify_decomposability(params: WitnessParams, tol: float = DECISION_TOL) ->
     gram, p, q, q_gamma = _decomposition_parts(a, b, c)
     a_eigs = hermitian_eig(gram).values
     recon = w.operator - p - q_gamma
-    p_low = hermitian_eig(p).values[0]
-    q_low = hermitian_eig(q).values[0]
-    return Certificate(
-        verdict="decomposable",
+    p_psd = bool(hermitian_eig(p).values[0] >= -(EVIDENCE_TOL + abs(b - d)))
+    q_psd = bool(hermitian_eig(q).values[0] >= -EVIDENCE_TOL)
+    split = dict(
         params=params,
         tolerance=tol,
         cones=cones,
         p_op=p,
         q_op=q,
-        p_psd=bool(p_low >= -EVIDENCE_TOL),
-        q_psd=bool(q_low >= -EVIDENCE_TOL),
+        p_psd=p_psd,
+        q_psd=q_psd,
         a_eigenvalues=a_eigs,
         reconstruction_error=float(np.max(np.abs(recon))),
     )
+    if p_psd and q_psd:
+        return Certificate(verdict="decomposable", **split)
+    value, x, y = _product_evidence(a, b, c, d)
+    return Certificate(verdict="not-block-positive", product_vector=(x, y), product_value=value, **split)
 
 
 def _seesaw_starts(n: int, restarts: int, seed: int) -> np.ndarray:

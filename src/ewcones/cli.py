@@ -14,6 +14,8 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -185,13 +187,17 @@ def _certificate_payload(cert) -> dict:
         # null upper endpoint means unbounded
         out["epsilon_interval"] = [lo, None if math.isinf(hi) else hi]
         out["probe_matrix"] = matrix_to_pairs(cert.probe.state)
-    else:
-        out["a_eigenvalues"] = [float(v) for v in cert.a_eigenvalues]
-        out["p_psd"] = cert.p_psd
-        out["q_psd"] = cert.q_psd
-        out["reconstruction_error"] = cert.reconstruction_error
-        out["p_matrix"] = matrix_to_pairs(cert.p_op)
-        out["q_matrix"] = matrix_to_pairs(cert.q_op)
+        return out
+    if cert.verdict == "not-block-positive":
+        x, y = cert.product_vector
+        out["product_value"] = cert.product_value
+        out["product_vector"] = {"x": list(x), "y": list(y)}
+    out["a_eigenvalues"] = [float(v) for v in cert.a_eigenvalues]
+    out["p_psd"] = cert.p_psd
+    out["q_psd"] = cert.q_psd
+    out["reconstruction_error"] = cert.reconstruction_error
+    out["p_matrix"] = matrix_to_pairs(cert.p_op)
+    out["q_matrix"] = matrix_to_pairs(cert.q_op)
     return out
 
 
@@ -238,6 +244,24 @@ def _geometry_rows(cones: tuple[str, ...], resolution: int) -> list[tuple[str, l
     return segments
 
 
+def _json_rows(segments: list[tuple[str, list]]) -> str:
+    """The geometry record's "rows" value, as json.dumps(indent=2) writes it there.
+
+    One block per row: the dict {"b", "c", "d", "tag"} at the depth of
+    outputs.rows, with each float through float.__repr__ (the rows hold
+    Python floats) and the tag through json's own string encoder. Raises
+    ValueError, as allow_nan=False does, when any value is not finite.
+    """
+    blocks = []
+    for tag, rows in segments:
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
+            raise ValueError(f"geometry values must be finite: the {tag} rows hold NaN or infinity")
+        end = f',\n        "tag": {encode_basestring_ascii(tag)}\n      }}'
+        blocks.extend(f'      {{\n        "b": {b!r},\n        "c": {c!r},\n        "d": {d!r}{end}' for b, c, d in rows)
+    # never empty: every run writes its cones' b = d curves
+    return "[\n" + ",\n".join(blocks) + "\n    ]"
+
+
 def _cmd_geometry(args: argparse.Namespace) -> str:
     _require_between("--resolution", args.resolution, 2, MAX_RESOLUTION)
     if args.format == "csv" and args.out is None:
@@ -258,11 +282,11 @@ def _cmd_geometry(args: argparse.Namespace) -> str:
             fh.writelines(f"{b!r},{c!r},{d!r},{tag}\r\n" for tag, rows in segments for b, c, d in rows)
         outputs = {"path": args.out, "rows": sum(counts.values()), "counts": counts}
         return _run_record("geometry", inputs, outputs, [], None)
-    outputs = {
-        "rows": [{"b": b, "c": c, "d": d, "tag": tag} for tag, rows in segments for b, c, d in rows],
-        "counts": counts,
-    }
-    text = _run_record("geometry", inputs, outputs, [], None)
+    rows = _json_rows(segments)
+    # json.dumps writes an empty list as [] and escapes every quote inside a
+    # string, so the first '"rows": []' is the outputs key: the rows go there
+    text = _run_record("geometry", inputs, {"rows": [], "counts": counts}, [], None)
+    text = text.replace('"rows": []', f'"rows": {rows}', 1)
     if args.out is not None:
         with _open_out(args.out) as fh:
             fh.write(text)

@@ -180,6 +180,115 @@ def test_certify_off_cone_warns():
     assert cert.pairing_value < -1e-3
 
 
+def _product_expectation(params, x, y):
+    # <x (x) y| W |x (x) y> on the assembled witness
+    v = np.kron(np.asarray(x), np.asarray(y))
+    return float((v @ params.witness.operator @ v).real)
+
+
+def test_bd_slice_is_decomposable_exactly_where_p_is_psd():
+    # on b = d, P is PSD iff b <= 1 and c <= a + 1; elsewhere a product vector
+    # of expectation 1 - b or (a - c + 1)/4 < 0 shows W is not block positive.
+    # 400 points uniform on the valid slice a + 2b + c = 3
+    failing = 0
+    for x, y, z in np.random.default_rng(3).dirichlet((1.0, 1.0, 1.0), 400) * 3.0:
+        p = WitnessParams(x, y / 2.0, z, y / 2.0)
+        cert = certify_decomposability(p)
+        if p.b <= 1.0 and p.c <= p.a + 1.0:
+            assert cert.verdict == "decomposable" and cert.p_psd and cert.q_psd
+            assert cert.product_vector is None and cert.product_value is None
+            continue
+        failing += 1
+        assert cert.verdict == "not-block-positive"
+        assert not cert.p_psd and cert.q_psd
+        assert cert.product_value == pytest.approx(min(1.0 - p.b, (p.a - p.c + 1.0) / 4.0), abs=1e-15)
+        assert cert.product_value < 0.0
+        assert cert.product_value == pytest.approx(_product_expectation(p, *cert.product_vector), abs=1e-12)
+    assert failing == 129
+
+
+@pytest.mark.parametrize(
+    ("params", "value"),
+    [
+        ((0.25, 1.0, 0.75, 1.0), None),  # face b = 1
+        ((0.5, 0.5, 1.5, 0.5), None),  # face c = a + 1
+        ((0.0, 1.0, 1.0, 1.0), None),  # both faces: special point iii
+        ((0.25 - 2e-6, 1.0 + 1e-6, 0.75, 1.0 + 1e-6), -1e-6),  # past b = 1: 1 - b
+        ((0.5, 0.5 - 1e-6, 1.5 + 2e-6, 0.5 - 1e-6), -5e-7),  # past c = a + 1: (a - c + 1)/4
+    ],
+)
+def test_bd_faces_split_the_verdicts(params, value):
+    p = WitnessParams(*params)
+    cert = certify_decomposability(p)
+    if value is None:
+        assert cert.verdict == "decomposable" and cert.p_psd and cert.q_psd
+        return
+    assert cert.verdict == "not-block-positive"
+    assert cert.product_value == pytest.approx(value, rel=1e-9)
+    assert cert.product_value == pytest.approx(_product_expectation(p, *cert.product_vector), abs=1e-15)
+
+
+def test_certify_rejects_the_decomposable_claim_at_a_negative_product(monkeypatch):
+    calls = []
+    eig = certify.hermitian_eig
+    monkeypatch.setattr(certify, "hermitian_eig", lambda m: calls.append(m) or eig(m))
+    p = WitnessParams(0.0, 1.5, 0.0, 1.5)
+    cert = certify_decomposability(p)
+    assert len(calls) == 3  # as many as a decomposable certificate
+    assert cert.verdict == "not-block-positive"
+    assert (cert.p_psd, cert.q_psd) == (False, True)
+    assert cert.a_eigenvalues[0] == pytest.approx(-2.0)
+    h = math.sqrt(0.5)
+    assert cert.product_vector == ((h, 0.0, h, 0.0), (h, 0.0, h, 0.0))
+    assert cert.product_value == -0.5 == pytest.approx(_product_expectation(p, *cert.product_vector), abs=1e-15)
+    assert block_positivity_min(p.witness, restarts=8) < -0.49
+    assert "not-block-positive" in cert.warning
+
+
+def test_certify_names_a_basis_product_when_q_fails():
+    # b = d = -1e-10 is valid; Q's eigenvalue 2b is then below -EVIDENCE_TOL,
+    # and <0 1|W|0 1> = b is the negative expectation
+    p = WitnessParams(1.5 + 1e-10, -1e-10, 1.5 + 1e-10, -1e-10)
+    cert = certify_decomposability(p)
+    assert cert.verdict == "not-block-positive"
+    assert (cert.p_psd, cert.q_psd) == (True, False)
+    assert cert.product_vector == ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
+    assert cert.product_value == -1e-10 == _product_expectation(p, *cert.product_vector)
+
+
+def test_p_is_psd_up_to_the_b_minus_d_the_tolerance_admits():
+    # the Gram matrix of P has b - d as an eigenvalue; within tol of b = d it
+    # does not turn a member into a not-block-positive one
+    p = WitnessParams(1.0 - 5e-10, 0.75, 0.5, 0.75 + 5e-10)
+    cert = certify_decomposability(p)
+    assert cert.a_eigenvalues[0] == pytest.approx(-5e-10, rel=1e-6)
+    assert cert.verdict == "decomposable" and cert.p_psd and cert.q_psd
+
+
+BD_SIDE = st.floats(-1e-10, 3.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(BD_SIDE, BD_SIDE, st.one_of(st.just(0.0), st.floats(-DECISION_TOL, DECISION_TOL)))
+def test_decomposable_certificates_have_psd_parts(b, c, gap):
+    d = b + gap
+    try:
+        p = WitnessParams(3.0 - b - c - d, b, c, d)
+    except ValueError:
+        assume(False)
+    assume(abs(p.b - p.d) <= DECISION_TOL)
+    cert = certify_decomposability(p)
+    if cert.verdict == "decomposable":
+        assert cert.p_psd and cert.q_psd
+        assert cert.product_vector is None and cert.product_value is None
+    else:
+        assert cert.verdict == "not-block-positive"
+        assert not (cert.p_psd and cert.q_psd)
+        # a quarter of P's failed eigenvalue, or half of Q's, up to rounding
+        assert cert.product_value < -EVIDENCE_TOL / 4 + 1e-15
+        assert cert.product_value == pytest.approx(_product_expectation(p, *cert.product_vector), abs=1e-12)
+
+
 def test_certify_validates_params():
     with pytest.raises(ValueError):
         certify_decomposability(WitnessParams(1.0, 1.0, 1.0, 1.0))

@@ -80,6 +80,40 @@ def test_classify_payload_indecomposable(capsys):
     assert np.trace(probe).real == pytest.approx(4.0 * (2.0 + 0.5 + 2.0))
 
 
+def test_classify_payload_not_block_positive(capsys):
+    code = main(["classify", "--params", "0,1.5,0,1.5", "--restarts", "8"])
+    rec = strict_loads(capsys.readouterr().out)
+    assert code == 0
+    out = rec["outputs"]
+    cert = out["certificate"]
+    assert cert["verdict"] == "not-block-positive"
+    assert "not-block-positive" in cert["warning"]
+    h = math.sqrt(0.5)
+    assert cert["product_vector"] == {"x": [h, 0.0, h, 0.0], "y": [h, 0.0, h, 0.0]}
+    assert cert["product_value"] == -0.5
+    assert (cert["p_psd"], cert["q_psd"]) == (False, True)
+    assert cert["a_eigenvalues"][0] == pytest.approx(-2.0)
+    assert len(cert["p_matrix"]) == 256 and len(cert["q_matrix"]) == 256
+    assert out["block_positivity"]["value"] == pytest.approx(-0.5)
+
+
+# the certificate fields of each verdict, in record order, as before the third verdict
+CERTIFICATE_FIELDS = {
+    "indecomposable": ["verdict", "tolerance", "on_cone", "warning", "epsilon", "pairing_value",
+                       "epsilon_interval", "probe_matrix"],
+    "decomposable": ["verdict", "tolerance", "on_cone", "warning", "a_eigenvalues", "p_psd", "q_psd",
+                     "reconstruction_error", "p_matrix", "q_matrix"],
+}
+
+
+def test_cone_member_certificates_keep_their_fields():
+    members = [sp.params for sp in special_points()] + [p for c in ("I", "II") for p in bd_curve(c)]
+    for p in members:
+        out = cli._certificate_payload(certify.certify_decomposability(p))
+        assert list(out) == CERTIFICATE_FIELDS[out["verdict"]]
+        assert out["warning"] is None
+
+
 def test_classify_unbounded_interval_serializes_null(capsys):
     code, rec = run(capsys, ["classify", "--params", "1,0,1,1", "--restarts", "2"])
     assert code == 0
@@ -377,6 +411,41 @@ def test_geometry_json_out_file(capsys, tmp_path):
     # the file holds the printed record byte for byte, without print's newline
     assert capsys.readouterr().out.encode() == out.read_bytes() + b"\n"
     assert json.loads(out.read_text())["outputs"]["counts"]["II"] == 3
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 16, 64])
+@pytest.mark.parametrize("cone", ["I", "II", "both"])
+def test_geometry_json_is_the_stdlib_indented_record(capsys, tmp_path, cone, resolution):
+    # the rows are written as blocks; json.dumps(indent=2) stays the reference
+    argv = ["geometry", "--cone", cone, "--resolution", str(resolution)]
+    out = tmp_path / "cloud.json"
+    for extra in ([], ["--format", "json", "--out", str(out)]):
+        assert main([*argv, *extra]) == 0
+        printed = capsys.readouterr().out
+        assert printed.endswith("}\n")
+        text = printed[:-1]
+        assert text == json.dumps(strict_loads(text), indent=2, allow_nan=False)
+    assert out.read_text() + "\n" == printed
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(("tag", "column"), [("I", 1), ("I", 2), ("bd-I", 0), ("special-iii", 2)])
+def test_geometry_json_rejects_non_finite_rows(capsys, monkeypatch, tmp_path, tag, column, value):
+    rows_of = cli._geometry_rows
+
+    def with_bad_value(cones, resolution):
+        segments = rows_of(cones, resolution)
+        rows = dict(segments)[tag]
+        rows[-1][column] = value
+        return segments
+
+    monkeypatch.setattr(cli, "_geometry_rows", with_bad_value)
+    out = tmp_path / "cloud.json"
+    code = main(["geometry", "--cone", "I", "--resolution", "2", "--out", str(out)])
+    rec = strict_loads(capsys.readouterr().out)
+    assert code == 3 and rec["error"]["kind"] == "validation"
+    assert tag in rec["error"]["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [[], ["--out", "cloud.json"], ["--format", "csv", "--out", "cloud.csv"]])
