@@ -32,6 +32,8 @@ __all__ = [
 EVIDENCE_TOL = 1e-10
 SEESAW_MAX_ITER = 500
 SEESAW_FTOL = 1e-12
+SEESAW_SECULAR_ITER = 60
+_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +238,81 @@ def _seesaw_starts(n: int, restarts: int, seed: int) -> np.ndarray:
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
+def _phi_structure(op: np.ndarray, n: int) -> tuple[float, np.ndarray] | None:
+    """(s, D) when op = sum_ik D[i, k] |ik><ik| - s |Phi><Phi| exactly, else None.
+
+    Phi = sum_i |ii>, s = -<00|op|11> must be real and D real. Every family
+    witness has this form, with s = 1. s must be at least 2n times the least
+    normal float, so that some s w_k of a unit vector stays normal (see
+    `_secular_half_step`).
+    """
+    if n < 2:
+        return None
+    s = -op[0, n + 1]
+    if not (s.real >= 2 * n * _NORMAL_MIN and s.imag == 0):
+        return None
+    shifted = op.copy()
+    ii = np.arange(n) * (n + 1)
+    shifted[np.ix_(ii, ii)] += s
+    diagonal = shifted.diagonal().copy()
+    np.fill_diagonal(shifted, 0.0)
+    if shifted.any() or diagonal.imag.any():
+        return None
+    return float(s.real), diagonal.real.reshape(n, n)
+
+
+def _secular_half_step(table: np.ndarray, s: float, x: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom eigenpair of diag(e) - s z z^dagger for each column of x, one per restart.
+
+    z = conj(x), w = |x|^2 and e = table^T w: the see-saw half-step matrix of
+    W = diag - s|Phi><Phi|. An entry whose s w_k is below the normal float
+    range leaves the secular equation; that moves lambda by less than
+    2 sqrt(s w_k), under 3e-154 sqrt(s). With m the least e that stays, gaps
+    g = e - m and tau = m - lambda > 0, the eigenvalue solves
+    s sum_k w_k / (g_k + tau) = 1 and the eigenvector is z / (g + tau).
+    Newton steps on 1/S, concave and increasing in tau, move right from a
+    start left of the root: the larger of max_k (s w_k - g_k), where one
+    term alone reaches 1/s, and m - bound, as bound is a value some unit
+    vector attains. Each column stops at its first step that does not
+    increase tau, so no column depends on the others. The sums run in units
+    of tau and stay in the normal range. An entry that left is an
+    eigenvector of its own, and replaces the root when its e_k is not above
+    it. Returns the eigenvalues and the unit eigenvectors as columns.
+    """
+    z = x.conj()
+    w = (z * x).real
+    sw = s * w
+    heavy = sw >= _NORMAL_MIN
+    # one (1, n) x (n, n) product per restart, as in the stacked contraction
+    e = np.ascontiguousarray(np.matmul(w.T[:, None, :], table)[:, 0].T)
+    weighted = np.where(heavy, e, np.inf)
+    low = weighted.min(axis=0)
+    g = weighted - low
+    tau = np.fmax((sw - g).max(axis=0), low - bound)
+    while True:
+        u = tau / (g + tau)
+        q = w * u
+        # sums over axis 0 add the n rows in order, whatever the batch size
+        s1 = q.sum(axis=0)
+        s2 = (q * u).sum(axis=0)
+        # tau + S (s S - 1) / T for S = s1 / tau and T = -S' = s2 / tau^2
+        new = tau + (s * s1 - tau) * s1 / s2
+        if not (new > tau).any():
+            break
+        # a stopped column recomputes the same step, so it does not move again
+        tau = np.fmax(tau, new)
+    value, vec = low - tau, z * (u / np.sqrt(s2))
+    if not heavy.all():
+        bare = np.where(heavy, np.inf, e)
+        least = bare.min(axis=0)
+        # the root lies below low, and above least iff s S(least) <= 1
+        cols = np.flatnonzero(least < low)
+        cols = cols[s * (w[:, cols] / (weighted[:, cols] - least[cols])).sum(axis=0) <= 1]
+        value[cols] = least[cols]
+        vec[:, cols] = np.arange(len(x))[:, None] == bare[:, cols].argmin(axis=0)
+    return value, vec
+
+
 def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float:
     """See-saw lower estimate of min <psi x phi| W |psi x phi>.
 
@@ -247,7 +324,13 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
     its own rule; restart r starts from row r of `_seesaw_starts`. Each
     half-step contracts the outer products of the running factors with the
     realigned witness, whose row (k, l) and column (i, j) hold <ik|W|jl>, in
-    one stacked matmul with one row per restart. Raises ValueError unless
+    one stacked matmul with one row per restart, and takes a stacked eigh.
+    When W = diag - s|Phi><Phi| (`_phi_structure`), the half-step matrix is
+    diagonal minus rank one, and the first SEESAW_SECULAR_ITER iterations
+    solve it from its secular equation instead (`_secular_half_step`),
+    warm-started from the value the running product vector attains. The
+    switch is by iteration, not by batch size, so a restart's value does not
+    depend on how many others run beside it. Raises ValueError unless
     restarts >= 1, seed >= 0 and the operator is n^2 x n^2, finite and
     Hermitian within HERMITIAN_TOL.
     """
@@ -264,33 +347,49 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
         raise ValueError(f"witness operator must have shape {(n * n, n * n)} for n = {n}, got {w.operator.shape}")
     # a NaN would fail deep in LAPACK, and eigh would read a non-Hermitian
     # operator's lower triangle alone
-    w2 = _require_hermitian(w.operator).reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
+    op = _require_hermitian(w.operator)
+    w2 = op.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
     w2t = np.ascontiguousarray(w2.T)
-    psi = _seesaw_starts(n, restarts, seed)
+    structure = _phi_structure(op, n)
+    secular_iter = 0
+    if structure is not None:
+        secular_iter = SEESAW_SECULAR_ITER
+        s, table = structure
+        table_t = np.ascontiguousarray(table.T)
+    # one column per running restart: the secular half-step reduces over the
+    # n entries of each column, across rows, which numpy does far faster
+    # than along them
+    psi = np.ascontiguousarray(_seesaw_starts(n, restarts, seed).T)
     # psi and last hold the running restarts only, in restart order, and
     # index their positions; a restart's value is written once, when it stops
     value = np.full(restarts, math.inf)
     index = np.arange(restarts)
     last = value.copy()
-    for _ in range(SEESAW_MAX_ITER):
+    for iteration in range(SEESAW_MAX_ITER):
         if index.size == 0:
             break
-        # LAPACK here: heuristic search only, certificates use hermitian_eig.
-        # Outer products shaped (B, 1, n^2), so matmul makes one BLAS call of
-        # the same shape per restart: a 2-D (B, n^2) product would let BLAS
-        # pick its kernel by batch size, and a restart's value must not
-        # depend on how many others run beside it
-        pp = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(-1, 1, n * n)
-        _, vecs = np.linalg.eigh(np.matmul(pp, w2t).reshape(-1, n, n))
-        phi = vecs[:, :, 0]
-        pp = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(-1, 1, n * n)
-        vals, vecs = np.linalg.eigh(np.matmul(pp, w2).reshape(-1, n, n))
-        new = vals[:, 0]
+        if iteration < secular_iter:
+            # psi with the previous phi attains last, psi with phi attains half
+            half, phi = _secular_half_step(table, s, psi, last)
+            new, psi = _secular_half_step(table_t, s, phi, half)
+        else:
+            # LAPACK here: heuristic search only, certificates use hermitian_eig.
+            # Outer products shaped (B, 1, n^2), so matmul makes one BLAS call of
+            # the same shape per restart: a 2-D (B, n^2) product would let BLAS
+            # pick its kernel by batch size, and a restart's value must not
+            # depend on how many others run beside it
+            rows = psi.T
+            pp = (rows.conj()[:, :, None] * rows[:, None, :]).reshape(-1, 1, n * n)
+            _, vecs = np.linalg.eigh(np.matmul(pp, w2t).reshape(-1, n, n))
+            phi = vecs[:, :, 0]
+            pp = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(-1, 1, n * n)
+            vals, vecs = np.linalg.eigh(np.matmul(pp, w2).reshape(-1, n, n))
+            new, psi = vals[:, 0], vecs[:, :, 0].T
         done = last - new < SEESAW_FTOL
         # a converged restart keeps min(last, new); ties keep last, as min() does
         value[index[done]] = np.where(last <= new, last, new)[done]
         keep = ~done
-        index, last, psi = index[keep], new[keep], vecs[keep, :, 0]
+        index, last, psi = index[keep], new[keep], psi[:, keep]
     value[index] = last  # restarts stopped by the iteration cap
     return float(min(value))  # first of equal values, as a running min
 

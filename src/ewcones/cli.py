@@ -268,6 +268,11 @@ def _cmd_geometry(args: argparse.Namespace) -> str:
         raise CommandError("usage", "--format csv requires --out", 2)
     cones = ("I", "II") if args.cone == "both" else (args.cone,)
     segments = _geometry_rows(cones, args.resolution)
+    # strict JSON holds no NaN or infinity, and a CSV must not either: checked
+    # once, before any --out file is opened
+    for tag, rows in segments:
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
+            raise ValueError(f"geometry values must be finite: the {tag} rows hold NaN or infinity")
     counts = dict(sorted((tag, len(rows)) for tag, rows in segments))
     inputs = {
         "cone": args.cone,

@@ -440,12 +440,14 @@ def test_geometry_json_rejects_non_finite_rows(capsys, monkeypatch, tmp_path, ta
         return segments
 
     monkeypatch.setattr(cli, "_geometry_rows", with_bad_value)
-    out = tmp_path / "cloud.json"
-    code = main(["geometry", "--cone", "I", "--resolution", "2", "--out", str(out)])
-    rec = strict_loads(capsys.readouterr().out)
-    assert code == 3 and rec["error"]["kind"] == "validation"
-    assert tag in rec["error"]["message"]
-    assert not out.exists()
+    # CSV used to write the rows and exit 0
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"cloud.{fmt}"
+        code = main(["geometry", "--cone", "I", "--resolution", "2", "--format", fmt, "--out", str(out)])
+        rec = strict_loads(capsys.readouterr().out)
+        assert code == 3 and rec["error"]["kind"] == "validation", fmt
+        assert tag in rec["error"]["message"]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [[], ["--out", "cloud.json"], ["--format", "csv", "--out", "cloud.csv"]])
