@@ -249,13 +249,10 @@ def _json_rows(segments: list[tuple[str, list]]) -> str:
 
     One block per row: the dict {"b", "c", "d", "tag"} at the depth of
     outputs.rows, with each float through float.__repr__ (the rows hold
-    Python floats) and the tag through json's own string encoder. Raises
-    ValueError, as allow_nan=False does, when any value is not finite.
+    Python floats) and the tag through json's own string encoder.
     """
     blocks = []
     for tag, rows in segments:
-        if not all(map(math.isfinite, chain.from_iterable(rows))):
-            raise ValueError(f"geometry values must be finite: the {tag} rows hold NaN or infinity")
         end = f',\n        "tag": {encode_basestring_ascii(tag)}\n      }}'
         blocks.extend(f'      {{\n        "b": {b!r},\n        "c": {c!r},\n        "d": {d!r}{end}' for b, c, d in rows)
     # never empty: every run writes its cones' b = d curves

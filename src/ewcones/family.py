@@ -22,7 +22,6 @@ __all__ = [
     "N3Params",
     "WitnessParams",
     "abcd_from_euler",
-    "appendix_entries",
     "appendix_matrix",
     "n3_abc",
     "params_from_witness",
@@ -187,8 +186,8 @@ for _i in range(4):
     _APPENDIX_POS[f"d{_i + 1}"] = (_i, (_i + 3) % 4)
 
 
-def appendix_entries(block: np.ndarray, corrected: bool = True) -> dict[str, float]:
-    """The 16 pre-twirl entries a_1..d_4 evaluated on a 3 x 3 block.
+def appendix_matrix(block: np.ndarray, corrected: bool = True) -> np.ndarray:
+    """The 16 pre-twirl entries a_1..d_4 of a 3 x 3 block, in the scaled stochastic matrix (3 phi).
 
     With corrected=False the audited a_2 coefficient reverts to its printed
     value, for deviation studies.
@@ -196,22 +195,13 @@ def appendix_entries(block: np.ndarray, corrected: bool = True) -> dict[str, flo
     block = np.asarray(block, dtype=float)
     if block.shape != (3, 3):
         raise ValueError(f"expected a 3 x 3 block, got shape {block.shape}")
-    out: dict[str, float] = {}
+    m = np.zeros((4, 4))
     for label, coeffs in _APPENDIX_COEFFS.items():
         value = 0.75
         for (k, l), coeff in coeffs.items():
             if not corrected and label == "a2" and (k, l) == (2, 3):
                 coeff = _A2_R23_PRINTED
             value += coeff * block[k - 1, l - 1]
-        out[label] = float(value)
-    return out
-
-
-def appendix_matrix(block: np.ndarray, corrected: bool = True) -> np.ndarray:
-    """Entries assembled into the scaled stochastic matrix (3 times phi)."""
-    entries = appendix_entries(block, corrected=corrected)
-    m = np.zeros((4, 4))
-    for label, value in entries.items():
         m[_APPENDIX_POS[label]] = value
     return m
 

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "EigenResult",
     "hermitian_eig",
-    "is_hermitian",
     "partial_transpose",
     "psd_proved",
 ]
@@ -36,14 +35,6 @@ class EigenResult(NamedTuple):
     """Eigenvalues in ascending order."""
 
     values: np.ndarray
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True when m equals its conjugate transpose entrywise within tol."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
 def _require_square_finite(m: np.ndarray) -> np.ndarray:

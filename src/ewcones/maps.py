@@ -20,9 +20,7 @@ from .gellmann import GellMannBasis, build_basis, diag_expectations, expand
 __all__ = [
     "KossakowskiMap",
     "OrthogonalEmbedding",
-    "WeylSet",
     "Witness",
-    "build_weyl_set",
     "build_witness",
     "choi_witness",
     "embedding_from_block",
@@ -238,23 +236,15 @@ def choi_witness(kmap: KossakowskiMap) -> Witness:
     return Witness(n=n, operator=w * (n - 1))
 
 
-@dataclass(frozen=True, eq=False)
-class WeylSet:
-    """Discrete Weyl shift-and-phase unitaries with their entangled vectors.
+@cache
+def _weyl_vectors(n: int) -> np.ndarray:
+    """The n*n Weyl entangled vectors as read-only rows.
 
-    unitaries[k, l] is the n x n unitary; vectors[k * n + l] is the
-    normalized vector (id x U_kl) applied to the uniform maximally entangled
-    vector. The n*n rank-one projectors onto these vectors are mutually
-    orthogonal and resolve the identity.
+    Row k * n + l is the normalized vector (id x U_kl) applied to the uniform
+    maximally entangled vector, for the shift-and-phase unitary U_kl. The
+    rank-one projectors onto the rows are mutually orthogonal and resolve
+    the identity.
     """
-
-    n: int
-    unitaries: np.ndarray
-    vectors: np.ndarray
-
-
-def build_weyl_set(n: int) -> WeylSet:
-    """Construct all n*n shift-and-phase unitaries and their vectors."""
     omega = np.exp(2j * np.pi / n)
     m = np.arange(n)
     unitaries = np.zeros((n, n, n, n), dtype=complex)
@@ -264,20 +254,13 @@ def build_weyl_set(n: int) -> WeylSet:
             unitaries[k, l, m, (m + l) % n] = omega ** (k * (m + 1))
     # entry i * n + j of vector k * n + l is U_kl[j, i]
     vectors = unitaries.transpose(0, 1, 3, 2).reshape(n * n, n * n) / np.sqrt(n)
-    return WeylSet(n=n, unitaries=unitaries, vectors=vectors)
-
-
-@cache
-def _default_weyl_set(n: int) -> WeylSet:
-    weyl = build_weyl_set(n)
-    weyl.unitaries.flags.writeable = False
-    weyl.vectors.flags.writeable = False
-    return weyl
+    vectors.flags.writeable = False
+    return vectors
 
 
 def twirl(w: Witness) -> Witness:
     """Project the witness onto the span of the Weyl entangled projectors."""
-    vecs = _default_weyl_set(w.n).vectors
+    vecs = _weyl_vectors(w.n)
     bras = vecs.conj()
     # <v_k| W |v_k> for every k at once: one matmul, then a row-wise dot
     weights = ((bras @ w.operator) * vecs).sum(axis=1).real

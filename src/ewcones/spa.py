@@ -21,7 +21,6 @@ __all__ = [
     "SpaResult",
     "critical_p",
     "critical_p_from_a",
-    "spa3_check",
     "spa_decompose",
     "spa_mix",
 ]
@@ -58,20 +57,6 @@ def critical_p(w: Witness) -> float:
 def critical_p_from_a(a: float) -> float:
     """Closed form of the critical mixing parameter on the circulant family."""
     return 4.0 * (3.0 - a) / (15.0 - 4.0 * a)
-
-
-def spa3_check(params: WitnessParams) -> tuple[float, float, float]:
-    """Slack triple whose nonnegativity makes the critical mixture separable.
-
-    Entry s is the weight the diagonal remainder assigns to every ket
-    |i, i+s> after the pair terms are removed.
-    """
-    a, b, c, d = params.a, params.b, params.c, params.d
-    return (
-        2.0 * b + c + d - 1.0,
-        2.0 * c + b + d - 1.0,
-        2.0 * d + b + c - 1.0,
-    )
 
 
 def _pair_term(i: int, j: int) -> np.ndarray:
@@ -130,11 +115,13 @@ def spa_decompose(params: WitnessParams) -> SpaResult:
     triple. Rescaled by the normalization this reproduces spa_mix at the
     critical parameter.
     """
-    a = params.a
+    a, b, c, d = params.a, params.b, params.c, params.d
     w = params.witness
     p_star = critical_p_from_a(a)
     mixed = spa_mix(w, p_star)
-    slacks = spa3_check(params)
+    # slack s is the weight the diagonal remainder assigns to every ket |i, i+s>
+    # once the pair terms are removed; all three nonnegative make the mixture separable
+    slacks = (2.0 * b + c + d - 1.0, 2.0 * c + b + d - 1.0, 2.0 * d + b + c - 1.0)
 
     pairs, pair_sum, pairs_ok = _pair_terms()
     diag = _ii_operator(_circulant([0.0, *slacks]).ravel(), np.zeros((4, 4)))

@@ -2,9 +2,10 @@
 
 `ref_psd_proved` is the former proof: it embeds the whole symmetric
 [[X, -Y], [Y, X]] and measures the skew on the scaled copy. `ref_detect` is
-the former `detect`: `is_hermitian`, then that proof, then the Jacobi
-fallback. The rewrite measures the state's skew once and writes only the
-lower triangle of the embedding, so every outcome must agree bit for bit.
+the former `detect`: the entrywise Hermitian check, then that proof, then
+the Jacobi fallback. The rewrite measures the state's skew once and writes
+only the lower triangle of the embedding, so every outcome must agree bit for
+bit.
 """
 import math
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from ewcones import linalg
 from ewcones.certify import DECISION_TOL, detect, probe_state
 from ewcones.family import WitnessParams, witness_from_params
-from ewcones.linalg import hermitian_eig, is_hermitian, psd_proved
+from ewcones.linalg import hermitian_eig, psd_proved
 from ewcones.maps import max_entangled_projector
 from test_assembly import assert_bitwise, ref_real_embedding, with_signed_zeros
 from test_certify import outcome, seeded_states
@@ -55,7 +56,7 @@ def ref_detect(w, rho, tol=DECISION_TOL):
         raise ValueError(f"expected shape {w.operator.shape}, got {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("state entries must be finite")
-    if not is_hermitian(rho, tol):
+    if not np.max(np.abs(rho - rho.conj().T)) <= tol:  # the former is_hermitian
         raise ValueError("state is not Hermitian")
     if not ref_psd_proved(rho, tol):
         low = hermitian_eig(rho + (rho.conj().T - rho) / 2).values[0]
@@ -72,7 +73,7 @@ def same_outcome(fn, ref, *args):
 
 
 def skewed_at(m, i, j, delta):
-    """m with delta added at (i, j), and the skew that `is_hermitian` measures on it."""
+    """m with delta added at (i, j), and the skew that the Hermitian check measures on it."""
     m = np.array(m, dtype=complex)
     m[i, j] += delta
     return m, float(np.max(np.abs(m - m.conj().T)))

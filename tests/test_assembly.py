@@ -36,7 +36,6 @@ from ewcones.family import (
 from ewcones.gellmann import build_basis, diag_expectations
 from ewcones.maps import (
     Witness,
-    build_weyl_set,
     build_witness,
     embedding_from_euler,
     euler_rotation,
@@ -205,7 +204,7 @@ def ref_sample_cloud(cone, resolution):
 
 def ref_twirl(op):
     out = np.zeros_like(op)
-    for v in build_weyl_set(4).vectors:
+    for v in maps._weyl_vectors(4):
         weight = float((v.conj() @ op @ v).real)
         out += weight * np.outer(v, v.conj())
     return out
@@ -294,9 +293,8 @@ def test_cached_constants_are_read_only():
     for _, sigma in res.sigma_pairs:
         with pytest.raises(ValueError):
             sigma[0, 0] = 5.0
-    weyl = maps._default_weyl_set(4)
     with pytest.raises(ValueError):
-        weyl.vectors[0, 0] = 5.0
+        maps._weyl_vectors(4)[0, 0] = 5.0
     with pytest.raises(ValueError):
         maps._diag_table(4)[0, 0] = 5.0
     for point in (AXIS_POINT, VERTEX_ONE, VERTEX_TWO, AXIS_DIRECTION):
@@ -461,7 +459,7 @@ def ref_require_psd_block(epsilon, w, w_t):
 
 
 def ref_twirl_weights(op):
-    vecs = build_weyl_set(4).vectors
+    vecs = maps._weyl_vectors(4)
     weights = np.einsum("ka,ab,kb->k", vecs.conj(), op, vecs).real
     return (vecs.T * weights) @ vecs.conj()
 

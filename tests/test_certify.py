@@ -20,7 +20,7 @@ from ewcones.certify import (
 )
 from ewcones.cones import bd_curve, special_points
 from ewcones.family import WitnessParams, witness_from_params
-from ewcones.linalg import hermitian_eig, is_hermitian, partial_transpose
+from ewcones.linalg import hermitian_eig, partial_transpose
 from ewcones.maps import Witness, max_entangled_projector
 
 
@@ -167,6 +167,39 @@ def test_certify_bd_curve_members():
             b, c = p.b, p.c
             expected = sorted([0.0, 4.0 * (1.0 - b), 2.0 * (2.0 - b - c), 2.0 * (2.0 - b - c)])
             assert_allclose(cert.a_eigenvalues, expected, atol=1e-10)
+
+
+def _split_members():
+    """Every bd_curve member, the special points and the 400-point b = d slice, with a tol.
+
+    Special points i and ii have |b - d| = 1, so they are certified at tol = 1,
+    which the library and --tol admit, to reach the split as well.
+    """
+    for cone in ("I", "II"):
+        for p in bd_curve(cone):
+            yield p, DECISION_TOL
+    for sp in special_points():
+        yield sp.params, 1.0
+    for x, y, z in np.random.default_rng(3).dirichlet((1.0, 1.0, 1.0), 400) * 3.0:
+        yield WitnessParams(x, y / 2.0, z, y / 2.0), DECISION_TOL
+
+
+def test_split_spectra_match_their_closed_forms():
+    # the Gram circulant [a, b - 1, c - 1, b - 1] has eigenvalues
+    # a + 2(b - 1) + (c - 1), a - (c - 1) twice and a - 2(b - 1) + (c - 1); P is
+    # that Gram matrix on span{|ii>}, and Q is diagonal with 2b four times and 2c
+    # twice. A closed-form spectrum in place of the solver must match these.
+    count = 0
+    for p, tol in _split_members():
+        cert = certify_decomposability(p, tol=tol)
+        a, b, c = p.a, p.b, p.c
+        gram = sorted([a + 2 * (b - 1) + (c - 1), a - (c - 1), a - (c - 1), a - 2 * (b - 1) + (c - 1)])
+        assert_allclose(cert.a_eigenvalues, gram, rtol=0, atol=1e-14)
+        assert_allclose(np.linalg.eigvalsh(cert.p_op), sorted(gram + [0.0] * 12), rtol=0, atol=1e-14)
+        q = sorted([0.0] * 10 + [2 * b] * 4 + [2 * c] * 2)
+        assert_allclose(np.linalg.eigvalsh(cert.q_op), q, rtol=0, atol=1e-14)
+        count += 1
+    assert count == 608
 
 
 def test_certify_off_cone_warns():
@@ -416,7 +449,7 @@ def jacobi_detect(w, rho, tol=DECISION_TOL):
         raise ValueError(f"expected shape {w.operator.shape}, got {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("state entries must be finite")
-    if not is_hermitian(rho, tol):
+    if not np.max(np.abs(rho - rho.conj().T)) <= tol:  # the former is_hermitian
         raise ValueError("state is not Hermitian")
     low = hermitian_eig(rho + (rho.conj().T - rho) / 2).values[0]
     if low < -tol:

@@ -14,7 +14,6 @@ from ewcones.family import (
     N3Params,
     WitnessParams,
     abcd_from_euler,
-    appendix_entries,
     appendix_matrix,
     n3_abc,
     params_from_witness,
@@ -139,7 +138,7 @@ def test_params_from_witness_checks_n_shape_and_circulance():
 def test_appendix_entries_rejects_a_block_that_is_not_3x3():
     for shape in ((4, 4), (3,), (3, 2)):
         with pytest.raises(ValueError, match="expected a 3 x 3 block"):
-            appendix_entries(np.zeros(shape))
+            appendix_matrix(np.zeros(shape))
 
 
 def test_appendix_matches_phi():
@@ -151,16 +150,17 @@ def test_appendix_matches_phi():
 
 
 def test_appendix_printed_coefficient_differs():
-    # the one corrected coefficient sits in entry a2 and multiplies block[1, 2]
+    # the one corrected coefficient sits in entry a2, at position (1, 1) of the
+    # matrix, and multiplies block[1, 2]
     rng = np.random.default_rng(25)
     block = euler_rotation(*random_angles(rng))
-    good = appendix_entries(block, corrected=True)
-    bad = appendix_entries(block, corrected=False)
+    good = appendix_matrix(block, corrected=True)
+    bad = appendix_matrix(block, corrected=False)
     delta = 1.0 / (6.0 * np.sqrt(3.0)) - 1.0 / (6.0 * np.sqrt(2.0))
-    assert bad["a2"] - good["a2"] == pytest.approx(delta * block[1, 2], abs=1e-13)
-    for key in good:
-        if key != "a2":
-            assert bad[key] == pytest.approx(good[key], abs=1e-15)
+    assert bad[1, 1] - good[1, 1] == pytest.approx(delta * block[1, 2], abs=1e-13)
+    others = np.ones((4, 4), dtype=bool)
+    others[1, 1] = False
+    assert_allclose(bad[others], good[others], rtol=0, atol=1e-15)
 
 
 def test_errata_ledger_contents():

@@ -10,14 +10,28 @@ loop (einsum contractions and eigh only, from the same starts) and may not
 fall below the witness's least eigenvalue. It is not asserted to reach the
 product-vector closed forms: an 8-restart search misses them on some
 members, a limit of the search rather than a defect.
+
+The cone flags must follow their rules evaluated exactly, in Fraction, from
+the same floats, and the CLI must answer any argv of a small grammar with one
+strict-JSON record and a documented exit code.
 """
+import contextlib
+import io
+import json
+import math
+from fractions import Fraction
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import strict_loads
 from test_seesaw import former_halves, ref_block_positivity_min
 
-from ewcones.certify import SEESAW_FTOL, block_positivity_min
-from ewcones.family import WitnessParams
+from ewcones import cli
+from ewcones.certify import DECISION_TOL, SEESAW_FTOL, block_positivity_min
+from ewcones.cones import cone_residuals, ellipse_point
+from ewcones.family import WitnessParams, abcd_from_euler
 
 WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
 
@@ -46,3 +60,185 @@ def test_block_positivity_tracks_the_former_loop(params):
         former, _ = ref_block_positivity_min(w, 4, seed, halves=former_halves)
         assert abs(value - former) <= SEESAW_FTOL, (params, seed)
         assert value >= least - 1e-12, (params, seed)
+
+
+# For entries in [0, 3] the float residuals sum a few rounded terms below 40,
+# so they lie within 1e-13 of the exact ones; a comparison whose exact sides
+# are closer than this band may go either way in floats and is not asserted.
+ROUNDING_BAND = Fraction(1, 10**12)
+ANGLE = st.floats(-math.pi, math.pi)
+TOLS = st.one_of(st.sampled_from([0.0, 1e-12, DECISION_TOL, 1e-6, 1e-3, 0.05]), st.floats(0.0, 0.5))
+
+
+def _intersection_point(theta):
+    # both cones meet in b + d = 3/2, on the circle (b - d)^2 / 4 + (c - 3/4)^2 = 1/16
+    c = 0.75 + 0.25 * math.cos(theta)
+    u = 0.25 * math.sin(theta)
+    return WitnessParams(1.5 - c, 0.75 + u, c, 0.75 - u)
+
+
+@st.composite
+def cone_points(draw):
+    """Members of both parities, boundary ellipse and intersection members, and
+    points off the cones: valid draws, and members pushed off along a - c."""
+    kind = draw(st.sampled_from(["proper", "improper", "ellipse", "intersection", "valid", "pushed"]))
+    if kind in ("proper", "improper", "pushed"):
+        parity = kind if kind != "pushed" else draw(st.sampled_from(["proper", "improper"]))
+        p = abcd_from_euler(draw(ANGLE), draw(ANGLE), draw(ANGLE), parity=parity)
+        if kind == "pushed":
+            shift = draw(st.floats(-0.1, 0.1))
+            if min(p.a - shift, p.c + shift) >= 0.0:
+                p = WitnessParams(p.a - shift, p.b, p.c + shift, p.d)
+        return p
+    if kind == "ellipse":
+        cone, branch = draw(st.sampled_from(["I", "II"])), draw(st.sampled_from(["+", "-"]))
+        return ellipse_point(cone, draw(st.floats(0.0, 1.0)), branch)
+    if kind == "intersection":
+        return _intersection_point(draw(ANGLE))
+    return draw(valid_params())
+
+
+def _le(x, y):
+    """x <= y decided exactly, or None when x and y lie within ROUNDING_BAND."""
+    return None if abs(x - y) <= ROUNDING_BAND else x < y
+
+
+def _and(*verdicts):
+    # three-valued: one False decides, otherwise one undecided leaves it open
+    if any(v is False for v in verdicts):
+        return False
+    return None if any(v is None for v in verdicts) else True
+
+
+def exact_cone_flags(params, tol):
+    """cone_residuals' rules in exact arithmetic on the same floats."""
+    b, c, d, t = map(Fraction, (params.b, params.c, params.d, tol))
+    cross = 4 * b * c + 4 * c * d - 2 * b * d
+    res1 = (b - 2) ** 2 + (2 * c - 3) ** 2 + (d - 2) ** 2 + cross - 9
+    res2 = (b - 1) ** 2 + (2 * c - 3) ** 2 + (d - 1) ** 2 + cross - 6
+    plane = b + d
+    in_slab = _and(_le(1 - t, plane), _le(plane, 2 + t))
+    on1 = _and(_le(abs(res1), t), in_slab)
+    on2 = _and(_le(abs(res2), t), in_slab)
+    return {
+        "on_cone_one": on1,
+        "on_cone_two": on2,
+        "on_intersection": _and(on1, on2, _le(abs(plane - Fraction(3, 2)), t)),
+        "on_ellipse_one": _and(on1, _le(abs(plane - 2), t)),
+        "on_ellipse_two": _and(on2, _le(abs(plane - 1), t)),
+    }
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(cone_points(), TOLS)
+def test_cone_flags_follow_their_exact_rules(params, tol):
+    report = cone_residuals(params, tol=tol)
+    for name, want in exact_cone_flags(params, tol).items():
+        got = getattr(report, name)
+        assert type(got) is bool, name
+        if want is not None:
+            assert got is want, (name, params, tol)
+
+
+def test_exact_cone_flags_decide_both_ways():
+    # the property above would pass vacuously if the band left every flag open
+    on = exact_cone_flags(_intersection_point(0.3), DECISION_TOL)
+    assert on == {name: True for name in on} | {"on_ellipse_one": False, "on_ellipse_two": False}
+    assert exact_cone_flags(ellipse_point("I", 0.3), DECISION_TOL)["on_ellipse_one"] is True
+    assert exact_cone_flags(ellipse_point("II", 0.3), DECISION_TOL)["on_ellipse_two"] is True
+    off = exact_cone_flags(WitnessParams(0.75, 0.75, 0.75, 0.75), DECISION_TOL)
+    assert off == {name: False for name in off}
+
+
+@pytest.fixture(scope="module")
+def state_files(tmp_path_factory):
+    """Paths for --state: states detect accepts and rejects, bad files, and a missing one."""
+    root = tmp_path_factory.mktemp("states")
+    not_psd = np.eye(16) / 16.0
+    not_psd[0, 0] = -0.5
+    not_hermitian = np.eye(16) / 16.0
+    not_hermitian[0, 1] = 0.1
+    contents = {
+        "mixed.json": json.dumps(cli.matrix_to_pairs(np.eye(16) / 16.0)),
+        "not_psd.json": json.dumps(cli.matrix_to_pairs(not_psd)),
+        "not_hermitian.json": json.dumps(cli.matrix_to_pairs(not_hermitian)),
+        "short.json": json.dumps([[1.0, 0.0]] * 3),
+        "garbled.json": "[[1.0, 0.0",
+    }
+    for name, text in contents.items():
+        (root / name).write_text(text)
+    return [str(root / name) for name in [*contents, "missing.json"]]
+
+
+# flag -> (values accepted, values rejected); a value splits on spaces into argv tokens
+FLAG_VALUES = {
+    "--params": (["1,1,1,0", "1.5 0.5 0.5 0.5", "0,1.5,0,1.5"], ["1,1,1,1", "1,1", "a,b,c,d", "nan,1,1,1"]),
+    "--euler": (["0.3,1.1,-0.4", "10 20 30"], ["1,2", "inf,0,0"]),
+    "--parity": (["proper", "improper"], ["mirror"]),
+    "--tol": (["1e-9", "1e-3"], ["0", "-1", "nan", "x"]),
+    "--restarts": (["1", "4", "8"], ["0", "-3", "4097", "x"]),
+    "--seed": (["0", "7"], ["-1", "x"]),
+    "--resolution": (["2", "3"], ["1", "513", "x"]),
+    "--cone": (["I", "II", "both"], ["III"]),
+    "--format": (["json"], ["csv", "xml"]),  # csv without --out is a usage error
+}
+OPTIONAL_FLAGS = {
+    "classify": ["--tol", "--seed"],
+    "spa": [],
+    "detect": ["--tol"],
+    "geometry": ["--resolution", "--cone", "--format"],
+}
+
+
+@st.composite
+def cli_argv(draw, state_paths):
+    """An argv for one subcommand, with at most one fault: a rejected value, a
+    dropped flag, a conflicting or unknown flag, or an unknown command.
+
+    --help and --version print plain text by design and are not drawn.
+    --restarts is always given and is never dropped, so a see-saw runs at 8
+    restarts or fewer; an out-of-range value is rejected before any work.
+    """
+    command = draw(st.sampled_from(sorted(OPTIONAL_FLAGS)))
+    values = dict(FLAG_VALUES, **{"--state": (state_paths[:3], state_paths[3:])})
+    flags = []
+    if command != "geometry":
+        flags.append(draw(st.sampled_from(["--params", "--euler"])))
+        if flags[0] == "--euler" and draw(st.booleans()):
+            flags.append("--parity")
+    flags += {"classify": ["--restarts"], "detect": ["--state"]}.get(command, [])
+    flags += [flag for flag in OPTIONAL_FLAGS[command] if draw(st.booleans())]
+    fault = draw(st.sampled_from([None, None, None, "value", "drop", "conflict", "unknown", "command"]))
+    target = None
+    if fault in ("value", "drop") and (candidates := [f for f in flags if f != "--restarts"]):
+        target = draw(st.sampled_from(candidates))
+    argv = ["bogus" if fault == "command" else command]
+    for flag in flags:
+        if flag == target and fault == "drop":
+            continue
+        accepted, rejected = values[flag]
+        argv += [flag, *draw(st.sampled_from(rejected if flag == target else accepted)).split()]
+    if "--euler" in flags and draw(st.booleans()):
+        argv.append("--degrees")
+    if fault == "conflict":
+        argv += draw(st.sampled_from([["--params", "1,1,1,0"], ["--euler", "0,0,0"], ["--degrees"]]))
+    if fault == "unknown":
+        argv.append("--unknown")
+    return argv
+
+
+def test_cli_answers_every_drawn_argv_with_one_record(state_files):
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(cli_argv(state_files))
+    def one_record(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4), argv
+        record = strict_loads(out.getvalue())
+        assert isinstance(record, dict) and "command" in record, argv
+
+    one_record()

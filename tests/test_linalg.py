@@ -5,22 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ewcones import linalg
-from ewcones.linalg import hermitian_eig, is_hermitian, partial_transpose, psd_proved
+from ewcones.linalg import hermitian_eig, partial_transpose, psd_proved
 
 
 def random_hermitian(rng, n):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (m + m.conj().T) / 2
-
-
-def test_is_hermitian():
-    assert is_hermitian(np.array([[1.0, 2j], [-2j, 0.5]]))
-    assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_is_hermitian_is_false_for_non_square_input():
-    for shape in ((2, 3), (4,), (2, 2, 2)):
-        assert not is_hermitian(np.zeros(shape))
 
 
 def test_hermitian_eig_matches_lapack():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ewcones import maps
 from ewcones.gellmann import build_basis
 from ewcones.maps import (
-    build_weyl_set,
     build_witness,
     choi_witness,
     embedding_from_block,
@@ -157,13 +157,7 @@ def test_witness_structure():
 
 
 def test_weyl_set_properties():
-    weyl = build_weyl_set(4)
-    assert_allclose(weyl.unitaries[0, 0], np.eye(4), atol=1e-15)
-    for k in range(4):
-        for l in range(4):
-            u = weyl.unitaries[k, l]
-            assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-13)
-    vecs = weyl.vectors
+    vecs = maps._weyl_vectors(4)
     assert vecs.shape == (16, 16)
     gram = vecs.conj() @ vecs.T
     assert_allclose(gram, np.eye(16), atol=1e-13)
@@ -180,7 +174,7 @@ def test_twirl_is_projection():
     assert np.max(np.abs(t1.operator - t2.operator)) < 1e-12
     assert np.trace(t1.operator).real == pytest.approx(12.0)
     with pytest.raises(TypeError):
-        twirl(w, build_weyl_set(4))
+        twirl(w, maps._weyl_vectors(4))
 
 
 def test_max_entangled_projector():

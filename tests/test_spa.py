@@ -12,7 +12,6 @@ from ewcones.spa import (
     _pair_term,
     critical_p,
     critical_p_from_a,
-    spa3_check,
     spa_decompose,
     spa_mix,
 )
@@ -86,10 +85,10 @@ def test_critical_p_and_spa_mix_need_a_positive_trace():
 
 
 def test_spa3_frozen_slacks():
-    assert spa3_check(WitnessParams(1.0, 1.0, 1.0, 0.0)) == pytest.approx((2.0, 2.0, 1.0))
-    assert spa3_check(WitnessParams(1.0, 1.0, 0.0, 1.0)) == pytest.approx((2.0, 1.0, 2.0))
-    assert spa3_check(WitnessParams(0.0, 1.0, 1.0, 1.0)) == pytest.approx((3.0, 3.0, 3.0))
-    assert spa3_check(WitnessParams(1.0, 0.0, 1.0, 1.0)) == pytest.approx((1.0, 2.0, 2.0))
+    assert spa_decompose(WitnessParams(1.0, 1.0, 1.0, 0.0)).slacks == pytest.approx((2.0, 2.0, 1.0))
+    assert spa_decompose(WitnessParams(1.0, 1.0, 0.0, 1.0)).slacks == pytest.approx((2.0, 1.0, 2.0))
+    assert spa_decompose(WitnessParams(0.0, 1.0, 1.0, 1.0)).slacks == pytest.approx((3.0, 3.0, 3.0))
+    assert spa_decompose(WitnessParams(1.0, 0.0, 1.0, 1.0)).slacks == pytest.approx((1.0, 2.0, 2.0))
 
 
 def test_spa_decompose_reconstructs():
@@ -140,7 +139,7 @@ def test_spa_diag_weights_are_slacks():
     p = WitnessParams(1.0, 1.0, 1.0, 0.0)
     res = spa_decompose(p)
     diag = np.diag(res.sigma_diag).real
-    slacks = spa3_check(p)
+    slacks = res.slacks
     assert np.max(np.abs(res.sigma_diag - np.diag(diag))) < 1e-15
     for i in range(4):
         assert diag[4 * i + i] == 0.0
