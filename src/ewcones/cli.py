@@ -14,7 +14,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -43,8 +42,7 @@ class CommandError(Exception):
 
 def matrix_to_pairs(m: np.ndarray) -> list:
     """Encode a complex matrix as a flat row-major list of [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def matrix_from_pairs(data) -> np.ndarray:
@@ -192,7 +190,7 @@ def _certificate_payload(cert) -> dict:
         x, y = cert.product_vector
         out["product_value"] = cert.product_value
         out["product_vector"] = {"x": list(x), "y": list(y)}
-    out["a_eigenvalues"] = [float(v) for v in cert.a_eigenvalues]
+    out["a_eigenvalues"] = cert.a_eigenvalues.tolist()
     out["p_psd"] = cert.p_psd
     out["q_psd"] = cert.q_psd
     out["reconstruction_error"] = cert.reconstruction_error
@@ -227,34 +225,34 @@ def _cmd_classify(args: argparse.Namespace) -> str:
     return _run_record("classify", inputs, outputs, [], args.seed)
 
 
-def _geometry_rows(cones: tuple[str, ...], resolution: int) -> list[tuple[str, list]]:
-    """The geometry output as (tag, rows) segments, each row [b, c, d] in Python floats.
+def _geometry_rows(cones: tuple[str, ...], resolution: int) -> list[tuple[str, np.ndarray]]:
+    """The geometry output as (tag, rows) segments, rows an (N, 3) float64 array of [b, c, d].
 
     Segments come in output order: each cone's surface cloud, then each
     cone's b = d curve, then one segment per special point on those cones.
-    Both serializers walk the segments, and the counts are their lengths.
+    Both serializers format each segment's rows.tolist(), and the counts are their lengths.
     """
-    segments = [(cone, np.asarray(sample_cloud(cone, resolution)).tolist()) for cone in cones]
-    segments += [(f"bd-{cone}", [[p.b, p.c, p.d] for p in bd_curve(cone)]) for cone in cones]
+    segments = [(cone, sample_cloud(cone, resolution)) for cone in cones]
+    segments += [(f"bd-{cone}", np.array([[p.b, p.c, p.d] for p in bd_curve(cone)])) for cone in cones]
     segments += [
-        (f"special-{sp.label}", [[sp.params.b, sp.params.c, sp.params.d]])
+        (f"special-{sp.label}", np.array([[sp.params.b, sp.params.c, sp.params.d]]))
         for sp in special_points()
         if sp.ellipse in cones
     ]
     return segments
 
 
-def _json_rows(segments: list[tuple[str, list]]) -> str:
+def _json_rows(segments: list[tuple[str, np.ndarray]]) -> str:
     """The geometry record's "rows" value, as json.dumps(indent=2) writes it there.
 
     One block per row: the dict {"b", "c", "d", "tag"} at the depth of
-    outputs.rows, with each float through float.__repr__ (the rows hold
-    Python floats) and the tag through json's own string encoder.
+    outputs.rows, with each float of rows.tolist() through float.__repr__
+    and the tag through json's own string encoder.
     """
     blocks = []
     for tag, rows in segments:
         end = f',\n        "tag": {encode_basestring_ascii(tag)}\n      }}'
-        blocks.extend(f'      {{\n        "b": {b!r},\n        "c": {c!r},\n        "d": {d!r}{end}' for b, c, d in rows)
+        blocks.extend(f'      {{\n        "b": {b!r},\n        "c": {c!r},\n        "d": {d!r}{end}' for b, c, d in rows.tolist())
     # never empty: every run writes its cones' b = d curves
     return "[\n" + ",\n".join(blocks) + "\n    ]"
 
@@ -268,7 +266,7 @@ def _cmd_geometry(args: argparse.Namespace) -> str:
     # strict JSON holds no NaN or infinity, and a CSV must not either: checked
     # once, before any --out file is opened
     for tag, rows in segments:
-        if not all(map(math.isfinite, chain.from_iterable(rows))):
+        if not np.isfinite(rows).all():
             raise ValueError(f"geometry values must be finite: the {tag} rows hold NaN or infinity")
     counts = dict(sorted((tag, len(rows)) for tag, rows in segments))
     inputs = {
@@ -281,7 +279,7 @@ def _cmd_geometry(args: argparse.Namespace) -> str:
         # the bytes of csv.writer's excel dialect: no field holds a comma, a quote or a line break
         with _open_out(args.out) as fh:
             fh.write("b,c,d,tag\r\n")
-            fh.writelines(f"{b!r},{c!r},{d!r},{tag}\r\n" for tag, rows in segments for b, c, d in rows)
+            fh.writelines(f"{b!r},{c!r},{d!r},{tag}\r\n" for tag, rows in segments for b, c, d in rows.tolist())
         outputs = {"path": args.out, "rows": sum(counts.values()), "counts": counts}
         return _run_record("geometry", inputs, outputs, [], None)
     rows = _json_rows(segments)

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errata import ERRATA
 from .maps import Witness, _circulant, _ii_operator, _require_finite_angles
 
 __all__ = [
@@ -144,7 +145,6 @@ def abcd_from_euler(
 
 # Pre-twirl table: entry label -> {(row, col) into the 3x3 block: coefficient}.
 # The a2 coefficient of R_23 is the audited correction; see errata.ERRATA.
-_A2_R23_PRINTED = 1.0 / (6.0 * _S3)
 _APPENDIX_COEFFS: dict[str, dict[tuple[int, int], float]] = {
     "a1": {(1, 1): 1 / 2, (1, 2): 1 / (2 * _S3), (1, 3): 1 / (2 * _S6),
            (2, 1): 1 / (2 * _S3), (2, 2): 1 / 6, (2, 3): 1 / (6 * _S2),
@@ -189,8 +189,8 @@ for _i in range(4):
 def appendix_matrix(block: np.ndarray, corrected: bool = True) -> np.ndarray:
     """The 16 pre-twirl entries a_1..d_4 of a 3 x 3 block, in the scaled stochastic matrix (3 phi).
 
-    With corrected=False the audited a_2 coefficient reverts to its printed
-    value, for deviation studies.
+    With corrected=False the audited a_2 coefficient reverts to the printed
+    value its errata.ERRATA record holds, for deviation studies.
     """
     block = np.asarray(block, dtype=float)
     if block.shape != (3, 3):
@@ -200,7 +200,7 @@ def appendix_matrix(block: np.ndarray, corrected: bool = True) -> np.ndarray:
         value = 0.75
         for (k, l), coeff in coeffs.items():
             if not corrected and label == "a2" and (k, l) == (2, 3):
-                coeff = _A2_R23_PRINTED
+                coeff = next(e.printed_value for e in ERRATA if e.identifier == "appendix-a2-r23")
             value += coeff * block[k - 1, l - 1]
         m[_APPENDIX_POS[label]] = value
     return m

@@ -576,8 +576,11 @@ def test_euler_rotation_matches_numpy_scalar_form():
 
 @pytest.mark.parametrize("resolution", [2, 3, 16, 64])
 def test_geometry_rows_match_per_coordinate_floats(resolution):
+    # segments are (N, 3) float64 arrays; the writers format their tolist()
     for cones in (("I", "II"), ("I",), ("II",)):
-        rows = [(b, c, d, tag) for tag, seg in cli._geometry_rows(cones, resolution) for b, c, d in seg]
+        segments = cli._geometry_rows(cones, resolution)
+        assert all(seg.dtype == np.float64 and seg.ndim == 2 and seg.shape[1] == 3 for _, seg in segments)
+        rows = [(b, c, d, tag) for tag, seg in segments for b, c, d in seg.tolist()]
         expected = ref_geometry_rows(cones, resolution)
         assert rows == expected
         assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in expected]

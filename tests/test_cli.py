@@ -41,6 +41,32 @@ def test_matrix_pairs_round_trip():
         matrix_from_pairs(pairs[:100])
 
 
+def per_element_pairs(m):
+    return [[float(v.real), float(v.imag)] for v in np.asarray(m, dtype=complex).ravel()]
+
+
+@pytest.mark.parametrize("kind", ["transposed-complex", "real", "signed-zeros"])
+def test_matrix_to_pairs_equals_per_element_floats(kind):
+    rng = np.random.default_rng(51)
+    if kind == "transposed-complex":
+        m = (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))).T
+        assert not m.flags.c_contiguous
+    elif kind == "real":
+        m = rng.standard_normal((16, 16))
+    else:
+        m = np.zeros((16, 16), dtype=complex)
+        m.real[::2] = -0.0
+        m.imag[:, ::3] = -0.0
+        m[1, 1] = complex(-0.0, 2.5)
+    pairs, expected = matrix_to_pairs(m), per_element_pairs(m)
+    assert pairs == expected
+    # == cannot tell -0.0 from 0.0: repr can
+    assert [list(map(repr, p)) for p in pairs] == [list(map(repr, p)) for p in expected]
+    assert all(type(x) is float for p in pairs for x in p)
+    if kind == "signed-zeros":
+        assert {repr(x) for p in pairs for x in p} == {"0.0", "-0.0", "2.5"}
+
+
 def test_classify_euler_params_round_trip(capsys):
     code, rec1 = run(capsys, ["classify", "--euler", "0.3,0.9,2.1", "--restarts", "4"])
     assert code == 0

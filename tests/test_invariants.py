@@ -7,9 +7,11 @@ and the b = d plane, on which the decomposability verdict is decided.
 
 The see-saw floor must stay within SEESAW_FTOL of the former per-restart
 loop (einsum contractions and eigh only, from the same starts) and may not
-fall below the witness's least eigenvalue. It is not asserted to reach the
-product-vector closed forms: an 8-restart search misses them on some
-members, a limit of the search rather than a defect.
+fall below the witness's least eigenvalue. Every product basis state |i>|j>
+is a candidate, so the floor is at most min(a, b, c, d), up to the see-saw's
+stop rule. It is not asserted to reach the product-vector closed forms: an
+8-restart search misses them on some members, a limit of the search rather
+than a defect.
 
 The cone flags must follow their rules evaluated exactly, in Fraction, from
 the same floats, and the CLI must answer any argv of a small grammar with one
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cli import strict_loads
 from test_seesaw import former_halves, ref_block_positivity_min
@@ -60,6 +62,21 @@ def test_block_positivity_tracks_the_former_loop(params):
         former, _ = ref_block_positivity_min(w, 4, seed, halves=former_halves)
         assert abs(value - former) <= SEESAW_FTOL, (params, seed)
         assert value >= least - 1e-12, (params, seed)
+
+
+# perfbench's oracle.check_seesaw bound. SEESAW_FTOL is a stop rule, not an
+# accuracy bound: where a face or edge has minimum 0 the search may stop
+# above it by more than 1e-12, as at the example below (about 1.5e-11).
+MATCH_TOL = 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(valid_params())
+@example(WitnessParams(1.0147, 0.0, 1.9853, 0.0))
+def test_block_positivity_is_at_most_the_least_parameter(params):
+    for restarts, seed in ((4, 0), (8, 1)):
+        value = block_positivity_min(params.witness, restarts=restarts, seed=seed)
+        assert value <= min(params.a, params.b, params.c, params.d) + MATCH_TOL, (params, restarts, seed)
 
 
 # For entries in [0, 3] the float residuals sum a few rounded terms below 40,

@@ -359,3 +359,11 @@ def test_operator_shape_must_match_n():
     w = Witness(n=3, operator=WitnessParams(1.0, 0.75, 0.5, 0.75).witness.operator)
     with pytest.raises(ValueError, match=r"^witness operator must have shape \(9, 9\) for n = 3, got \(16, 16\)$"):
         block_positivity_min(w, restarts=2, seed=0)
+
+
+@pytest.mark.parametrize("x", [0.7, -2.5, 0.0])
+def test_one_dimensional_witness_is_its_own_floor(x):
+    # n = 1 has no <00|W|11> entry to read: _phi_structure must decline, not index past the operator
+    w = Witness(n=1, operator=np.array([[x]]))
+    assert _phi_structure(np.asarray(w.operator, dtype=complex), 1) is None
+    assert block_positivity_min(w) == x
