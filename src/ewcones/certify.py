@@ -32,7 +32,6 @@ __all__ = [
 EVIDENCE_TOL = 1e-10
 SEESAW_MAX_ITER = 500
 SEESAW_FTOL = 1e-12
-SEESAW_SECULAR_ITER = 60
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
 
@@ -242,9 +241,10 @@ def _phi_structure(op: np.ndarray, n: int) -> tuple[float, np.ndarray] | None:
     """(s, D) when op = sum_ik D[i, k] |ik><ik| - s |Phi><Phi| exactly, else None.
 
     Phi = sum_i |ii>, s = -<00|op|11> must be real and D real. Every family
-    witness has this form, with s = 1. s must be at least 2n times the least
-    normal float, so that some s w_k of a unit vector stays normal (see
-    `_secular_half_step`).
+    witness has this form, with s = 1. For such a witness a see-saw half-step
+    depends on the running factor's weights |x|^2 alone, and so does the
+    next factor's (`_secular_half_step`). s must be at least 2n times the
+    least normal float, so that some s w_k of unit weights stays normal.
     """
     if n < 2:
         return None
@@ -261,56 +261,139 @@ def _phi_structure(op: np.ndarray, n: int) -> tuple[float, np.ndarray] | None:
     return float(s.real), diagonal.real.reshape(n, n)
 
 
-def _secular_half_step(table: np.ndarray, s: float, x: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom eigenpair of diag(e) - s z z^dagger for each column of x, one per restart.
+def _secular_half_step(table: np.ndarray, s: float, w: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom eigenvalue and eigenvector weights of diag(e) - s z z^dagger, for each column of w.
 
-    z = conj(x), w = |x|^2 and e = table^T w: the see-saw half-step matrix of
-    W = diag - s|Phi><Phi|. An entry whose s w_k is below the normal float
-    range leaves the secular equation; that moves lambda by less than
-    2 sqrt(s w_k), under 3e-154 sqrt(s). With m the least e that stays, gaps
-    g = e - m and tau = m - lambda > 0, the eigenvalue solves
-    s sum_k w_k / (g_k + tau) = 1 and the eigenvector is z / (g + tau).
-    Newton steps on 1/S, concave and increasing in tau, move right from a
-    start left of the root: the larger of max_k (s w_k - g_k), where one
-    term alone reaches 1/s, and m - bound, as bound is a value some unit
-    vector attains. Each column stops at its first step that does not
-    increase tau, so no column depends on the others. The sums run in units
-    of tau and stay in the normal range. An entry that left is an
-    eigenvector of its own, and replaces the root when its e_k is not above
-    it. Returns the eigenvalues and the unit eigenvectors as columns.
+    Each column of w holds the weights |x|^2 of one restart's running
+    factor x, z = conj(x) and e = table^T w: the see-saw half-step matrix of
+    W = diag - s|Phi><Phi|. The eigenvalue and the weights |v|^2 of the
+    bottom eigenvector v depend on w alone. An entry whose s w_k is below
+    the normal float range leaves the secular equation; that moves lambda by
+    less than 2 sqrt(s w_k), under 3e-154 sqrt(s). With m the least e that
+    stays, gaps g = e - m and tau = m - lambda > 0, the eigenvalue solves
+    s sum_k w_k / (g_k + tau) = 1, and v = z / (g + tau), normalized, so
+    |v|^2 = w u^2 / sum(w u^2) with u = tau / (g + tau). Newton steps on
+    1/S, concave and increasing in tau, move right from a start left of the
+    root: the larger of max_k (s w_k - g_k), where one term alone reaches
+    1/s, and m - bound, as bound is a value some unit vector attains. Each
+    column stops at its first step that does not increase tau, so no column
+    depends on the others. The sums run in units of tau and stay in the
+    normal range. An entry that left is an eigenvector of its own, and
+    replaces the root when its e_k is not above it.
+
+    w must have at least two columns. numpy then reduces each (n, B) array
+    of terms, all laid out C-contiguous as e is, over axis 0 row by row: it
+    adds the rows to 0.0 in order, as `_secular_half_step_floats` does. A
+    single column would be summed pairwise.
     """
-    z = x.conj()
-    w = (z * x).real
     sw = s * w
     heavy = sw >= _NORMAL_MIN
-    # one (1, n) x (n, n) product per restart, as in the stacked contraction
-    e = np.ascontiguousarray(np.matmul(w.T[:, None, :], table)[:, 0].T)
+    # ufunc reductions rather than ndarray methods, which add a Python call each
+    e = np.add.reduce(table[:, :, None] * w[:, None, :], axis=0)
     weighted = np.where(heavy, e, np.inf)
-    low = weighted.min(axis=0)
+    low = np.minimum.reduce(weighted, axis=0)
     g = weighted - low
-    tau = np.fmax((sw - g).max(axis=0), low - bound)
+    tau = np.fmax(np.maximum.reduce(sw - g, axis=0), low - bound)
     while True:
         u = tau / (g + tau)
         q = w * u
-        # sums over axis 0 add the n rows in order, whatever the batch size
-        s1 = q.sum(axis=0)
-        s2 = (q * u).sum(axis=0)
+        qu = q * u
+        s1 = np.add.reduce(q, axis=0)
+        s2 = np.add.reduce(qu, axis=0)
         # tau + S (s S - 1) / T for S = s1 / tau and T = -S' = s2 / tau^2
         new = tau + (s * s1 - tau) * s1 / s2
-        if not (new > tau).any():
+        if not np.count_nonzero(new > tau):
             break
         # a stopped column recomputes the same step, so it does not move again
         tau = np.fmax(tau, new)
-    value, vec = low - tau, z * (u / np.sqrt(s2))
+    value, weights = low - tau, qu / s2
     if not heavy.all():
         bare = np.where(heavy, np.inf, e)
         least = bare.min(axis=0)
         # the root lies below low, and above least iff s S(least) <= 1
         cols = np.flatnonzero(least < low)
-        cols = cols[s * (w[:, cols] / (weighted[:, cols] - least[cols])).sum(axis=0) <= 1]
+        # accumulate adds the rows in order even for one column, as the floats do
+        ratio = np.add.accumulate(w[:, cols] / (weighted[:, cols] - least[cols]), axis=0)[-1]
+        cols = cols[s * ratio <= 1]
         value[cols] = least[cols]
-        vec[:, cols] = np.arange(len(x))[:, None] == bare[:, cols].argmin(axis=0)
-    return value, vec
+        weights[:, cols] = np.arange(len(w))[:, None] == bare[:, cols].argmin(axis=0)
+    return value, weights
+
+
+def _ordered_sum(xs) -> float:
+    # numpy's row-by-row reduction: 0.0 plus each term in order (the builtin
+    # sum compensates its rounding from Python 3.12 on)
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def _least(xs: list) -> float:
+    # np.minimum keeps the later of equal entries, which tells -0.0 from 0.0
+    least = xs[0]
+    for x in xs[1:]:
+        least = least if least < x else x
+    return least
+
+
+def _secular_half_step_floats(cols: list, s: float, w: list, bound: float) -> tuple[float, list]:
+    """`_secular_half_step` for one restart in Python floats, bit for bit.
+
+    cols[k] is column k of the table and w the weights, as lists of floats.
+    Every value comes from the same IEEE operations in the same order as in
+    the numpy half-step's column: sums add to 0.0 in row order, the
+    deflation test's sum starts from its first term as accumulate does, and
+    a min or max of a tie keeps the later entry, as np.minimum and
+    np.maximum do.
+    """
+    e = [_ordered_sum([t * x for t, x in zip(col, w)]) for col in cols]
+    sw = [s * x for x in w]
+    heavy = [x >= _NORMAL_MIN for x in sw]
+    weighted = [ek if h else math.inf for ek, h in zip(e, heavy)]
+    low = _least(weighted)
+    g = [x - low for x in weighted]
+    start = sw[0] - g[0]
+    for a, b in zip(sw[1:], g[1:]):
+        start = start if start > a - b else a - b
+    tau = max(start, low - bound)
+    while True:
+        u = [tau / (x + tau) for x in g]
+        q = [a * b for a, b in zip(w, u)]
+        qu = [a * b for a, b in zip(q, u)]
+        s1, s2 = _ordered_sum(q), _ordered_sum(qu)
+        new = tau + (s * s1 - tau) * s1 / s2
+        if not new > tau:
+            break
+        tau = new
+    value, weights = low - tau, [x / s2 for x in qu]
+    if not all(heavy):
+        bare = [math.inf if h else ek for ek, h in zip(e, heavy)]
+        least = _least(bare)
+        if least < low:
+            ratio = w[0] / (weighted[0] - least)
+            for x, y in zip(w[1:], weighted[1:]):
+                ratio += x / (y - least)
+            if s * ratio <= 1:
+                k = bare.index(least)
+                value, weights = least, [float(j == k) for j in range(len(w))]
+    return value, weights
+
+
+def _seesaw_floats(table: np.ndarray, s: float, w: list, last: float, iterations: int) -> float:
+    """One restart's see-saw from weights w, in Python floats: the value the batch would give it.
+
+    Each half-step is `_secular_half_step_floats`, and the stopping rule is
+    `block_positivity_min`'s, so the value is bitwise the batch's.
+    """
+    cols, cols_t = table.T.tolist(), table.tolist()
+    for _ in range(iterations):
+        half, w = _secular_half_step_floats(cols, s, w, last)
+        new, w = _secular_half_step_floats(cols_t, s, w, half)
+        if last - new < SEESAW_FTOL:
+            return last if last <= new else new
+        last = new
+    return last
 
 
 def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float:
@@ -320,19 +403,21 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
     of the contracted n x n matrix) from seeded random product starts. The
     result is numerical evidence of block positivity, not a proof; it never
     increases when restarts grow under the same seed.
-    All restarts run as one batch (memory is O(restarts)) and each stops on
-    its own rule; restart r starts from row r of `_seesaw_starts`. Each
-    half-step contracts the outer products of the running factors with the
-    realigned witness, whose row (k, l) and column (i, j) hold <ik|W|jl>, in
-    one stacked matmul with one row per restart, and takes a stacked eigh.
-    When W = diag - s|Phi><Phi| (`_phi_structure`), the half-step matrix is
-    diagonal minus rank one, and the first SEESAW_SECULAR_ITER iterations
-    solve it from its secular equation instead (`_secular_half_step`),
-    warm-started from the value the running product vector attains. The
-    switch is by iteration, not by batch size, so a restart's value does not
-    depend on how many others run beside it. Raises ValueError unless
-    restarts >= 1, seed >= 0 and the operator is n^2 x n^2, finite and
-    Hermitian within HERMITIAN_TOL.
+    All restarts run as one batch (memory is O(restarts)), one column per
+    running restart, and each stops on its own rule; restart r starts from
+    row r of `_seesaw_starts`. When W = diag - s|Phi><Phi|
+    (`_phi_structure`), as every family witness is, a half-step depends on
+    the running factor's weights |x|^2 alone and gives the next factor's:
+    the search runs on real weights, and every half-step is solved from its
+    secular equation (`_secular_half_step`), warm-started from the value the
+    running product vector attains. Once one restart is left it finishes in
+    Python floats (`_seesaw_floats`), with the same IEEE operations in the
+    same order, so its value does not depend on how many others ran beside
+    it. Any other witness contracts the outer products of the running
+    factors with the realigned witness, whose row (k, l) and column (i, j)
+    hold <ik|W|jl>, in one stacked matmul, and takes a stacked eigh.
+    Raises ValueError unless restarts >= 1, seed >= 0 and the operator is
+    n^2 x n^2, finite and Hermitian within HERMITIAN_TOL.
     """
     if restarts < 1:
         # 0 restarts would return inf, and numpy's message for a negative
@@ -342,55 +427,59 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
         # numpy's own message names neither the seed nor its value
         raise ValueError(f"seed must be non-negative, got {seed}")
     n = w.n
-    if w.operator.shape != (n * n, n * n):
+    operator = np.asarray(w.operator)
+    if operator.shape != (n * n, n * n):
         # numpy's reshape error names neither the witness nor n
-        raise ValueError(f"witness operator must have shape {(n * n, n * n)} for n = {n}, got {w.operator.shape}")
+        raise ValueError(f"witness operator must have shape {(n * n, n * n)} for n = {n}, got {operator.shape}")
     # a NaN would fail deep in LAPACK, and eigh would read a non-Hermitian
     # operator's lower triangle alone
-    op = _require_hermitian(w.operator)
-    w2 = op.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
-    w2t = np.ascontiguousarray(w2.T)
+    op = _require_hermitian(operator)
+    starts = _seesaw_starts(n, restarts, seed)
     structure = _phi_structure(op, n)
-    secular_iter = 0
-    if structure is not None:
-        secular_iter = SEESAW_SECULAR_ITER
+    if structure is None:
+        w2 = op.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
+        w2t = np.ascontiguousarray(w2.T)
+        x = np.ascontiguousarray(starts.T)
+    else:
         s, table = structure
         table_t = np.ascontiguousarray(table.T)
-    # one column per running restart: the secular half-step reduces over the
-    # n entries of each column, across rows, which numpy does far faster
-    # than along them
-    psi = np.ascontiguousarray(_seesaw_starts(n, restarts, seed).T)
-    # psi and last hold the running restarts only, in restart order, and
-    # index their positions; a restart's value is written once, when it stops
+        x = np.ascontiguousarray((starts.conj() * starts).real.T)
+    # x and last hold the running restarts only, in restart order, and index
+    # their positions; a restart's value is written once, when it stops
     value = np.full(restarts, math.inf)
     index = np.arange(restarts)
     last = value.copy()
     for iteration in range(SEESAW_MAX_ITER):
         if index.size == 0:
             break
-        if iteration < secular_iter:
-            # psi with the previous phi attains last, psi with phi attains half
-            half, phi = _secular_half_step(table, s, psi, last)
-            new, psi = _secular_half_step(table_t, s, phi, half)
+        if structure is not None:
+            if index.size == 1:
+                # numpy would sum a lone column pairwise, in another order for n >= 8
+                value[index] = _seesaw_floats(table, s, x[:, 0].tolist(), float(last[0]), SEESAW_MAX_ITER - iteration)
+                break
+            # the factor with the previous phi attains last, with the new phi half
+            half, phi = _secular_half_step(table, s, x, last)
+            new, x = _secular_half_step(table_t, s, phi, half)
         else:
             # LAPACK here: heuristic search only, certificates use hermitian_eig.
             # Outer products shaped (B, 1, n^2), so matmul makes one BLAS call of
             # the same shape per restart: a 2-D (B, n^2) product would let BLAS
             # pick its kernel by batch size, and a restart's value must not
             # depend on how many others run beside it
-            rows = psi.T
+            rows = x.T
             pp = (rows.conj()[:, :, None] * rows[:, None, :]).reshape(-1, 1, n * n)
             _, vecs = np.linalg.eigh(np.matmul(pp, w2t).reshape(-1, n, n))
             phi = vecs[:, :, 0]
             pp = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(-1, 1, n * n)
             vals, vecs = np.linalg.eigh(np.matmul(pp, w2).reshape(-1, n, n))
-            new, psi = vals[:, 0], vecs[:, :, 0].T
+            new, x = vals[:, 0], vecs[:, :, 0].T
         done = last - new < SEESAW_FTOL
         # a converged restart keeps min(last, new); ties keep last, as min() does
         value[index[done]] = np.where(last <= new, last, new)[done]
         keep = ~done
-        index, last, psi = index[keep], new[keep], psi[:, keep]
-    value[index] = last  # restarts stopped by the iteration cap
+        index, last, x = index[keep], new[keep], x[:, keep]
+    else:
+        value[index] = last  # restarts stopped by the iteration cap
     return float(min(value))  # first of equal values, as a running min
 
 
@@ -406,9 +495,10 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
     unless tol is finite and non-negative.
     """
     _require_tol(tol)
+    operator = np.asarray(w.operator)
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != w.operator.shape:
-        raise ValueError(f"expected shape {w.operator.shape}, got {rho.shape}")
+    if rho.shape != operator.shape:
+        raise ValueError(f"expected shape {operator.shape}, got {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("state entries must be finite")
     skew = float(np.max(np.abs(rho - rho.conj().T)))
@@ -423,4 +513,4 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
         low = hermitian_eig(rho + (rho.conj().T - rho) / 2).values[0]
         if low < -tol:
             raise ValueError(f"state is not positive semidefinite: eigenvalue {low:.6e}")
-    return float(np.trace(w.operator @ rho).real)
+    return float(np.trace(operator @ rho).real)

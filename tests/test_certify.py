@@ -366,6 +366,14 @@ def test_detect_values():
     assert detect(w, max_entangled_projector(4)) == pytest.approx(-2.0)
 
 
+def test_detect_reads_a_nested_list_operator():
+    # Witness stores its operator unconverted; reading .shape first used to raise AttributeError
+    assert detect(Witness(n=1, operator=[[0.7]]), [[1.0]]) == 0.7
+    w = witness_from_params(WitnessParams(1.0, 0.75, 0.5, 0.75))
+    rho = max_entangled_projector(4) / 4.0
+    assert detect(Witness(n=4, operator=w.operator.tolist()), rho) == detect(w, rho)
+
+
 def test_detect_flags_ppt_entanglement():
     w = witness_from_params(WitnessParams(1.0, 1.0, 1.0, 0.0))
     probe = probe_state(0.5)

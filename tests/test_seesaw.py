@@ -1,29 +1,33 @@
 """The batched see-saw against its per-restart loop.
 
-`block_positivity_min` runs every restart in one stacked contraction and one
-stacked eigh per half-step. Each half-step contracts the running factors'
-outer products with the realigned witness, whose row (k, l) and column (i, j)
-hold <ik|W|jl>, in one stacked matmul of shape (B, 1, n^2) x (n^2, n^2): one
-BLAS call of the same shape per restart, whatever the batch size B. The
-reference below runs the same contraction on a one-row batch, one restart at
-a time, from the same starts: one seeded draw, row r for restart r. Each
-restart keeps its own stopping rule, so the two must agree bit for bit,
-including restarts that run to the iteration cap. Two properties carry that
-agreement and are tested on their own: a stacked matmul equals its rows
-contracted one at a time, and the first k starts do not depend on the
-restart count.
+`block_positivity_min` runs every restart in one batch, one column per
+running restart. For a general witness each half-step contracts the running
+factors' outer products with the realigned witness, whose row (k, l) and
+column (i, j) hold <ik|W|jl>, in one stacked matmul of shape
+(B, 1, n^2) x (n^2, n^2): one BLAS call of the same shape per restart,
+whatever the batch size B, followed by a stacked eigh. A witness
+diag - s|Phi><Phi|, which every family member is, runs on the factors'
+real weights |x|^2 instead, and solves every half-step from its secular
+equation; once one restart is left it finishes in Python floats.
 
-A witness diag - s|Phi><Phi|, which every family member is, takes the
-secular half-step for its first SEESAW_SECULAR_ITER iterations; the reference
-loop keeps that rule, and the half-step is checked on its own against eigh,
-and stacked against one-column batches bit for bit.
+The reference below runs one restart at a time from the same starts: one
+seeded draw, row r for restart r. It takes the Python-float secular
+half-step at every iteration for a witness diag - s|Phi><Phi|, and the
+contraction on a one-row batch with eigh for any other. Each restart keeps
+its own stopping rule, so the two must agree bit for bit, including
+restarts that run to the iteration cap. Three properties carry that
+agreement and are tested on their own: a stacked matmul equals its rows
+contracted one at a time, the Python-float half-step equals every column of
+the batched numpy half-step, and the first k starts do not depend on the
+restart count. The secular half-step is also checked against eigh.
 
 The three-operand einsums the see-saw used before the realignment stay here
 as a second reference, with eigh throughout: the contraction must match them
 to rounding, and the see-saw's value must stay within SEESAW_FTOL of their
 loop. The corpus holds a random complex Hermitian witness and an n = 3
 witness, on which a swapped transpose cannot pass as it can on the real,
-symmetric family witnesses.
+symmetric family witnesses; n = 8 and n = 9 witnesses, where numpy would sum
+a lone column pairwise, check the see-saw's batch independence.
 """
 import math
 
@@ -33,10 +37,10 @@ import pytest
 from ewcones.certify import (
     SEESAW_FTOL,
     SEESAW_MAX_ITER,
-    SEESAW_SECULAR_ITER,
     _phi_structure,
     _seesaw_starts,
     _secular_half_step,
+    _secular_half_step_floats,
     block_positivity_min,
 )
 from ewcones.family import WitnessParams, abcd_from_euler, n3_abc, witness_from_params
@@ -58,23 +62,6 @@ def realigned_halves(w):
     )
 
 
-def secular_halves(w):
-    """The see-saw's two secular half-steps, on restarts as rows, for a witness diag - s|Phi><Phi|; else none."""
-    structure = _phi_structure(np.asarray(w.operator, dtype=complex), w.n)
-    if structure is None:
-        return []
-    s, table = structure
-
-    def half(t):
-        def step(v, bound):
-            value, vec = _secular_half_step(t, s, np.ascontiguousarray(v.T), bound)
-            return value, vec.T
-
-        return step
-
-    return [half(table), half(np.ascontiguousarray(table.T))]
-
-
 def former_halves(w):
     """The three-operand einsums the see-saw ran before the realignment."""
     n = w.n
@@ -93,32 +80,30 @@ def ref_starts(n, restarts, seed):
 
 
 def ref_block_positivity_min(w, restarts, seed, halves=realigned_halves):
-    """The per-restart loop on one-row batches; also returns how many restarts hit the iteration cap.
+    """The per-restart loop; also returns how many restarts hit the iteration cap.
 
-    With the realigned halves it keeps the see-saw's iteration rule: a witness
-    diag - s|Phi><Phi| takes the secular half-step for its first
-    SEESAW_SECULAR_ITER iterations, each warm-started from the value its
-    product vector attains. The former einsum halves always take eigh.
+    With the realigned halves it keeps the see-saw's rule: a witness
+    diag - s|Phi><Phi| takes the Python-float secular half-step on the
+    factor's weights at every iteration, each warm-started from the value
+    its product vector attains, and any other witness the contraction on a
+    one-row batch with eigh. The former einsum halves always take eigh.
     """
     first, second = halves(w)
     structure = _phi_structure(np.asarray(w.operator, dtype=complex), w.n) if halves is realigned_halves else None
-    secular_iter = 0
     if structure is not None:
-        secular_iter = SEESAW_SECULAR_ITER
         s, table = structure
-        table_t = np.ascontiguousarray(table.T)
+        cols, cols_t = table.T.tolist(), table.tolist()
     starts = ref_starts(w.n, restarts, seed)
     best = math.inf
     capped = 0
     for r in range(restarts):
         psi = starts[r : r + 1]
+        weights = (psi.conj() * psi).real[0].tolist()
         value = math.inf
-        for iteration in range(SEESAW_MAX_ITER):
-            if iteration < secular_iter:
-                half, phi = _secular_half_step(table, s, psi.T, np.array([value]))
-                vals, psi = _secular_half_step(table_t, s, phi, half)
-                psi = psi.T
-                new_value = float(vals[0])
+        for _ in range(SEESAW_MAX_ITER):
+            if structure is not None:
+                half, weights = _secular_half_step_floats(cols, s, weights, value)
+                new_value, weights = _secular_half_step_floats(cols_t, s, weights, half)
             else:
                 vals, vecs = np.linalg.eigh(first(psi))
                 phi = vecs[:, :, 0]
@@ -167,9 +152,20 @@ WITNESSES = {
 }
 
 
+def diagonal_minus_phi(table):
+    """diag(table.ravel()) - |Phi><Phi| on C^n x C^n, n the table's side."""
+    phi = np.eye(len(table)).ravel()
+    return Witness(n=len(table), operator=np.diag(table.ravel()) - np.outer(phi, phi))
+
+
+# numpy sums a lone column of 8 or more entries pairwise: the see-saw must not
+# let one running restart change the order of its sums
+LARGE = {f"n{n}": diagonal_minus_phi(np.random.default_rng(8).uniform(0.0, 2.0, (n, n))) for n in (8, 9)}
+
+
 @pytest.mark.parametrize("restarts", [1, 4, 16, 64])
 def test_batched_seesaw_matches_restart_loop(restarts):
-    members = list(rotation_members()) + list(WITNESSES.values())
+    members = list(rotation_members()) + list(WITNESSES.values()) + list(LARGE.values())
     for k, w in enumerate(members):
         seed = k % 4
         got = block_positivity_min(w, restarts=restarts, seed=seed)
@@ -177,10 +173,13 @@ def test_batched_seesaw_matches_restart_loop(restarts):
 
 
 def test_batched_seesaw_matches_loop_at_iteration_cap():
+    # with 1 restart and seed 25 the capped restart, whose value is the
+    # floor, runs all its iterations in Python floats
     w = WITNESSES["1110"]
-    expected, capped = ref_block_positivity_min(w, 16, 1)
-    assert capped > 0, "no restart of (1,1,1,0), seed 1 reaches the iteration cap"
-    assert same_bits(block_positivity_min(w, restarts=16, seed=1), expected)
+    for restarts, seed in ((16, 1), (1, 25)):
+        expected, capped = ref_block_positivity_min(w, restarts, seed)
+        assert capped > 0, f"no restart of (1,1,1,0), seed {seed} reaches the iteration cap"
+        assert same_bits(block_positivity_min(w, restarts=restarts, seed=seed), expected), (restarts, seed)
 
 
 @pytest.mark.parametrize("name", sorted(WITNESSES))
@@ -196,15 +195,6 @@ def test_stacked_contraction_equals_one_row_batches(name):
             got = half(v)
             rows = np.concatenate([half(v[r : r + 1]) for r in range(batch)])
             assert got.tobytes() == rows.tobytes(), (name, batch)
-        # every fifth restart a basis vector, whose zero weights take the deflation branch
-        v[::5] = np.eye(w.n)[rng.integers(0, w.n, len(v[::5]))]
-        for half in secular_halves(w):
-            cold = np.full(batch, np.inf)
-            for bound in (cold, half(v, cold)[0] + rng.uniform(0.0, 1e-3, batch)):
-                got = half(v, bound)
-                rows = [half(v[r : r + 1], bound[r : r + 1]) for r in range(batch)]
-                assert got[0].tobytes() == np.concatenate([r[0] for r in rows]).tobytes(), (name, batch)
-                assert got[1].tobytes() == np.concatenate([r[1] for r in rows]).tobytes(), (name, batch)
 
 
 def half_step_matrix(table, s, x):
@@ -246,31 +236,75 @@ def secular_corpus():
     return cases
 
 
+def weight_columns(x, batch):
+    """|x|^2 as batch equal columns: the numpy half-step takes at least two."""
+    return np.ascontiguousarray(np.repeat((x.conj() * x).real[:, None], batch, axis=1))
+
+
 @pytest.mark.parametrize("s", [1.0, 0.25])
 def test_secular_half_step_matches_eigh(s):
-    # bounds: the eigenvalue within 1e-14 of eigvalsh, the eigenvector's
-    # residual max|M v - lambda v| within 4e-15 and its norm within 1e-15 of
-    # 1, from a cold start and from a bound some unit vector attains (at
-    # most 2.7e-15, 5.0e-16 and 2.3e-16 here)
+    # bounds: the eigenvalue within 1e-14 of eigvalsh; the weights within
+    # 1e-14 max(1, 1/gap) of |v|^2 for eigh's bottom eigenvector v, with gap
+    # the distance to the next eigenvalue; the eigenvector they give with the
+    # phases of z, residual max|M v - lambda v| within 4e-15; the weights'
+    # sum within 1e-15 of 1. From a cold start and from a bound some unit
+    # vector attains (at most 2.7e-15, 5.8e-15 at gap-scaled 1.9e-15,
+    # 7.1e-16 and 3.4e-16 here)
     rng = np.random.default_rng(43)
     for k, (table, x) in enumerate(secular_corpus()):
         m = half_step_matrix(table, s, x)
         u = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
         u /= np.linalg.norm(u)
-        for bound in (math.inf, float((u.conj() @ m @ u).real)):
-            value, vec = _secular_half_step(table, s, x[:, None], np.array([bound]))
-            value, vec = value[0], vec[:, 0]
-            assert abs(value - np.linalg.eigvalsh(m)[0]) <= 1e-14, (k, bound)
+        bounds = np.array([math.inf, float((u.conj() @ m @ u).real)])
+        values, weights = _secular_half_step(table, s, weight_columns(x, 2), bounds)
+        vals, vecs = np.linalg.eigh(m)
+        gap = vals[1] - vals[0]
+        assert gap > 0, k  # every bottom eigenvalue of the corpus is simple
+        phase = np.where(x == 0, 1.0, x.conj() / np.where(x == 0, 1.0, np.abs(x)))
+        for c, bound in enumerate(bounds):
+            value, wc = values[c], weights[:, c]
+            assert abs(value - vals[0]) <= 1e-14, (k, bound)
+            assert np.max(np.abs(wc - np.abs(vecs[:, 0]) ** 2)) <= 1e-14 * max(1.0, 1.0 / gap), (k, bound)
+            vec = np.sqrt(wc) * phase
             assert np.max(np.abs(m @ vec - value * vec)) <= 4e-15, (k, bound)
-            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-15, (k, bound)
+            assert abs(wc.sum() - 1.0) <= 1e-15, (k, bound)
 
 
 def test_secular_half_step_takes_both_deflation_branches():
     cases = secular_corpus()[200:]
+    cold = np.full(2, math.inf)
     for s in (1.0, 0.25):
-        kept, root = (_secular_half_step(t, s, x[:, None], np.array([math.inf])) for t, x in cases[:2])
+        kept, root = (_secular_half_step(t, s, weight_columns(x, 2), cold) for t, x in cases[:2])
         assert kept[0][0] == pytest.approx(0.1, abs=1e-15) and kept[1][:, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
         assert root[0][0] < 2.9 and root[1][0, 0] == 0.0
+
+
+@pytest.mark.parametrize("batch", [2, 7, 64])
+def test_float_half_step_equals_batched_columns(batch):
+    # numpy sums each column of a C-contiguous batch of two or more row by
+    # row from 0.0, as the floats do; the corpus's edge cases sit in column
+    # 0, every fifth column from 1 on is a basis vector (the deflation
+    # branch), and the random tables hold negative entries, so zero
+    # weights give signed-zero products
+    rng = np.random.default_rng(47)
+    cases = secular_corpus() + [(rng.uniform(-1.0, 3.0, (n, n)), None) for n in (2, 3, 4, 5, 8, 9) for _ in range(4)]
+    for k, (table, x) in enumerate(cases):
+        n = len(table)
+        v = rng.standard_normal((n, batch)) + 1j * rng.standard_normal((n, batch))
+        v /= np.linalg.norm(v, axis=0)
+        if x is not None:
+            v[:, 0] = x
+        v[:, 1::5] = np.eye(n)[:, rng.integers(0, n, v[:, 1::5].shape[1])]
+        w = np.ascontiguousarray((v.conj() * v).real)
+        cols = table.T.tolist()
+        for s in (1.0, 0.25):
+            cold = np.full(batch, math.inf)
+            for bound in (cold, _secular_half_step(table, s, w, cold)[0] + rng.uniform(0.0, 1e-3, batch)):
+                values, weights = _secular_half_step(table, s, w, bound)
+                for c in range(batch):
+                    value, wc = _secular_half_step_floats(cols, s, w[:, c].tolist(), float(bound[c]))
+                    assert same_bits(value, float(values[c])), (k, c, s)
+                    assert np.array(wc).tobytes() == weights[:, c].tobytes(), (k, c, s)
 
 
 @pytest.mark.parametrize("name", sorted(WITNESSES))
@@ -302,10 +336,11 @@ def test_starts_for_fewer_restarts_are_a_prefix(n):
 
 
 def test_block_positivity_restart_prefix_is_exact():
-    # restart r's value does not depend on the batch size, so no slack is needed
-    w = WITNESSES["1110"]
-    values = [block_positivity_min(w, restarts=r, seed=3) for r in range(1, 17)]
-    assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+    # restart r's value does not depend on the batch size, so no slack is
+    # needed; on n = 8 and 9 a lone running restart summed pairwise broke it
+    for w, seed in ((WITNESSES["1110"], 3), (LARGE["n8"], 3), (LARGE["n9"], 0)):
+        values = [block_positivity_min(w, restarts=r, seed=seed) for r in range(1, 17)]
+        assert all(later <= earlier for earlier, later in zip(values, values[1:])), w.n
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**40)])
@@ -367,3 +402,11 @@ def test_one_dimensional_witness_is_its_own_floor(x):
     w = Witness(n=1, operator=np.array([[x]]))
     assert _phi_structure(np.asarray(w.operator, dtype=complex), 1) is None
     assert block_positivity_min(w) == x
+
+
+def test_nested_list_operator_is_read_as_an_array():
+    # Witness stores its operator unconverted; reading .shape first used to raise AttributeError
+    assert block_positivity_min(Witness(n=1, operator=[[0.7]])) == 0.7
+    w = WITNESSES["1110"]
+    listed = Witness(n=4, operator=w.operator.tolist())
+    assert same_bits(block_positivity_min(listed, restarts=4, seed=2), block_positivity_min(w, restarts=4, seed=2))
