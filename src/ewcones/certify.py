@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -32,6 +33,9 @@ __all__ = [
 EVIDENCE_TOL = 1e-10
 SEESAW_MAX_ITER = 500
 SEESAW_FTOL = 1e-12
+_LATTICE_POINTS = 1000
+_POLISH_COLUMNS = 8
+_SPREAD_COLUMNS = 8
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
 
@@ -264,8 +268,8 @@ def _phi_structure(op: np.ndarray, n: int) -> tuple[float, np.ndarray] | None:
 def _secular_half_step(table: np.ndarray, s: float, w: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bottom eigenvalue and eigenvector weights of diag(e) - s z z^dagger, for each column of w.
 
-    Each column of w holds the weights |x|^2 of one restart's running
-    factor x, z = conj(x) and e = table^T w: the see-saw half-step matrix of
+    Each column of w holds the weights |x|^2 of one running factor x,
+    z = conj(x) and e = table^T w: the see-saw half-step matrix of
     W = diag - s|Phi><Phi|. The eigenvalue and the weights |v|^2 of the
     bottom eigenvector v depend on w alone. An entry whose s w_k is below
     the normal float range leaves the secular equation; that moves lambda by
@@ -280,11 +284,6 @@ def _secular_half_step(table: np.ndarray, s: float, w: np.ndarray, bound: np.nda
     depends on the others. The sums run in units of tau and stay in the
     normal range. An entry that left is an eigenvector of its own, and
     replaces the root when its e_k is not above it.
-
-    w must have at least two columns. numpy then reduces each (n, B) array
-    of terms, all laid out C-contiguous as e is, over axis 0 row by row: it
-    adds the rows to 0.0 in order, as `_secular_half_step_floats` does. A
-    single column would be summed pairwise.
     """
     sw = s * w
     heavy = sw >= _NORMAL_MIN
@@ -312,112 +311,101 @@ def _secular_half_step(table: np.ndarray, s: float, w: np.ndarray, bound: np.nda
         least = bare.min(axis=0)
         # the root lies below low, and above least iff s S(least) <= 1
         cols = np.flatnonzero(least < low)
-        # accumulate adds the rows in order even for one column, as the floats do
-        ratio = np.add.accumulate(w[:, cols] / (weighted[:, cols] - least[cols]), axis=0)[-1]
+        ratio = np.add.reduce(w[:, cols] / (weighted[:, cols] - least[cols]), axis=0)
         cols = cols[s * ratio <= 1]
         value[cols] = least[cols]
         weights[:, cols] = np.arange(len(w))[:, None] == bare[:, cols].argmin(axis=0)
     return value, weights
 
 
-def _ordered_sum(xs) -> float:
-    # numpy's row-by-row reduction: 0.0 plus each term in order (the builtin
-    # sum compensates its rounding from Python 3.12 on)
-    total = 0.0
-    for x in xs:
-        total += x
-    return total
+@cache
+def _simplex_points(n: int) -> np.ndarray:
+    """Read-only weight columns: the simplex lattice, then _SPREAD_COLUMNS spread points.
 
-
-def _least(xs: list) -> float:
-    # np.minimum keeps the later of equal entries, which tells -0.0 from 0.0
-    least = xs[0]
-    for x in xs[1:]:
-        least = least if least < x else x
-    return least
-
-
-def _secular_half_step_floats(cols: list, s: float, w: list, bound: float) -> tuple[float, list]:
-    """`_secular_half_step` for one restart in Python floats, bit for bit.
-
-    cols[k] is column k of the table and w the weights, as lists of floats.
-    Every value comes from the same IEEE operations in the same order as in
-    the numpy half-step's column: sums add to 0.0 in row order, the
-    deflation test's sum starts from its first term as accumulate does, and
-    a min or max of a tie keeps the later entry, as np.minimum and
-    np.maximum do.
+    The lattice holds every k / m with k integer, k >= 0 and sum(k) = m, m
+    the finest resolution with at most _LATTICE_POINTS points,
+    C(m + n - 1, n - 1): 16 steps and 969 points for n = 4. The uniform
+    weights, where every witness whose table is n times a doubly stochastic
+    matrix attains 0, are added when n does not divide m. The spread points
+    are the weights |psi|^2 of the first see-saw starts of seed 0: interior
+    points without ties between coordinates.
     """
-    e = [_ordered_sum([t * x for t, x in zip(col, w)]) for col in cols]
-    sw = [s * x for x in w]
-    heavy = [x >= _NORMAL_MIN for x in sw]
-    weighted = [ek if h else math.inf for ek, h in zip(e, heavy)]
-    low = _least(weighted)
-    g = [x - low for x in weighted]
-    start = sw[0] - g[0]
-    for a, b in zip(sw[1:], g[1:]):
-        start = start if start > a - b else a - b
-    tau = max(start, low - bound)
-    while True:
-        u = [tau / (x + tau) for x in g]
-        q = [a * b for a, b in zip(w, u)]
-        qu = [a * b for a, b in zip(q, u)]
-        s1, s2 = _ordered_sum(q), _ordered_sum(qu)
-        new = tau + (s * s1 - tau) * s1 / s2
-        if not new > tau:
+    m = 1
+    while math.comb(m + n, n - 1) <= _LATTICE_POINTS:
+        m += 1
+    k = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(n - 1):
+        # each row takes every next entry from 0 up to what its sum leaves
+        room = m + 1 - k.sum(axis=1)
+        ramp = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        k = np.column_stack([np.repeat(k, room, axis=0), ramp])
+    columns = [np.column_stack([k, m - k.sum(axis=1)]).T / m]
+    if m % n:
+        columns.append(np.full((n, 1), 1.0 / n))
+    spread = _seesaw_starts(n, _SPREAD_COLUMNS, 0)
+    columns.append((spread.conj() * spread).real.T)
+    points = np.ascontiguousarray(np.hstack(columns))
+    points.flags.writeable = False
+    return points
+
+
+def _lattice_floor(s: float, table: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Least <x y|W|x y> found for W = diag(table) - s|Phi><Phi|, with the weights p = |x|^2, q = |y|^2.
+
+    With the phases aligned, the least value at fixed weights p is
+    f(p) = lambda_min(diag(table^T p) - s sqrt(p) sqrt(p)^T), one secular
+    half-step from p. One call evaluates f on every point of
+    `_simplex_points`. The _POLISH_COLUMNS best lattice points and all
+    spread points then run the weight see-saw together until every column
+    meets the SEESAW_FTOL stop rule, or for SEESAW_MAX_ITER iterations. The
+    floor is the least value the points or the polish attained; it depends
+    on the witness alone. Lattice points alone miss narrow basins next to a
+    face, such as the minimum -0.0039 of (1.8, 1.2, 0, 0) at
+    p = (0, 0.021, 0.131, 0.848), where every lattice point gives 0 or more
+    and the see-saw from the best of them stays at 0; the spread points
+    reach it, some of them only after 30 or more iterations.
+    """
+    points = _simplex_points(len(table))
+    values, q = _secular_half_step(table, s, points, np.full(points.shape[1], math.inf))
+    k = values.argmin()
+    best = values[k], points[:, k], q[:, k]
+    lattice = points.shape[1] - _SPREAD_COLUMNS
+    top = np.argpartition(values[:lattice], _POLISH_COLUMNS)[:_POLISH_COLUMNS]
+    cols = np.concatenate([top, np.arange(lattice, points.shape[1])])
+    last, q = values[cols], q[:, cols]
+    table_t = np.ascontiguousarray(table.T)
+    for _ in range(SEESAW_MAX_ITER):
+        # the polished factor with the previous q attains last, with the new q new
+        half, p = _secular_half_step(table_t, s, q, last)
+        new, q = _secular_half_step(table, s, p, half)
+        k = new.argmin()
+        if new[k] < best[0]:
+            best = new[k], p[:, k], q[:, k]
+        if (last - new < SEESAW_FTOL).all():
             break
-        tau = new
-    value, weights = low - tau, [x / s2 for x in qu]
-    if not all(heavy):
-        bare = [math.inf if h else ek for ek, h in zip(e, heavy)]
-        least = _least(bare)
-        if least < low:
-            ratio = w[0] / (weighted[0] - least)
-            for x, y in zip(w[1:], weighted[1:]):
-                ratio += x / (y - least)
-            if s * ratio <= 1:
-                k = bare.index(least)
-                value, weights = least, [float(j == k) for j in range(len(w))]
-    return value, weights
-
-
-def _seesaw_floats(table: np.ndarray, s: float, w: list, last: float, iterations: int) -> float:
-    """One restart's see-saw from weights w, in Python floats: the value the batch would give it.
-
-    Each half-step is `_secular_half_step_floats`, and the stopping rule is
-    `block_positivity_min`'s, so the value is bitwise the batch's.
-    """
-    cols, cols_t = table.T.tolist(), table.tolist()
-    for _ in range(iterations):
-        half, w = _secular_half_step_floats(cols, s, w, last)
-        new, w = _secular_half_step_floats(cols_t, s, w, half)
-        if last - new < SEESAW_FTOL:
-            return last if last <= new else new
         last = new
-    return last
+    return float(best[0]), best[1], best[2]
 
 
 def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float:
     """See-saw lower estimate of min <psi x phi| W |psi x phi>.
 
-    Alternates exact minimization over each tensor factor (bottom eigenvector
-    of the contracted n x n matrix) from seeded random product starts. The
-    result is numerical evidence of block positivity, not a proof; it never
-    increases when restarts grow under the same seed.
-    All restarts run as one batch (memory is O(restarts)), one column per
-    running restart, and each stops on its own rule; restart r starts from
-    row r of `_seesaw_starts`. When W = diag - s|Phi><Phi|
-    (`_phi_structure`), as every family witness is, a half-step depends on
-    the running factor's weights |x|^2 alone and gives the next factor's:
-    the search runs on real weights, and every half-step is solved from its
-    secular equation (`_secular_half_step`), warm-started from the value the
-    running product vector attains. Once one restart is left it finishes in
-    Python floats (`_seesaw_floats`), with the same IEEE operations in the
-    same order, so its value does not depend on how many others ran beside
-    it. Any other witness contracts the outer products of the running
-    factors with the realigned witness, whose row (k, l) and column (i, j)
-    hold <ik|W|jl>, in one stacked matmul, and takes a stacked eigh.
-    Raises ValueError unless restarts >= 1, seed >= 0 and the operator is
-    n^2 x n^2, finite and Hermitian within HERMITIAN_TOL.
+    The result is numerical evidence of block positivity, not a proof. When
+    W = diag - s|Phi><Phi| (`_phi_structure`), as every family witness is,
+    it is the lattice floor (`_lattice_floor`): f(p), the least value at
+    weights |psi|^2 = p, on a fixed simplex lattice and a few spread points,
+    polished by the weight see-saw. It reads neither restarts nor seed. Any
+    other witness alternates exact minimization over each tensor factor
+    (bottom eigenvector of the contracted n x n matrix) from seeded random
+    product starts, and the value never increases when restarts grow under
+    the same seed. All restarts run as one batch (memory is O(restarts)),
+    one column per running restart, and each stops on its own rule; restart
+    r starts from row r of `_seesaw_starts`. A half-step contracts the outer
+    products of the running factors with the realigned witness, whose row
+    (k, l) and column (i, j) hold <ik|W|jl>, in one stacked matmul, and
+    takes a stacked eigh. Raises ValueError unless restarts >= 1, seed >= 0
+    and the operator is n^2 x n^2, finite and Hermitian within
+    HERMITIAN_TOL.
     """
     if restarts < 1:
         # 0 restarts would return inf, and numpy's message for a negative
@@ -427,52 +415,38 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
         # numpy's own message names neither the seed nor its value
         raise ValueError(f"seed must be non-negative, got {seed}")
     n = w.n
-    operator = np.asarray(w.operator)
-    if operator.shape != (n * n, n * n):
+    if w.operator.shape != (n * n, n * n):
         # numpy's reshape error names neither the witness nor n
-        raise ValueError(f"witness operator must have shape {(n * n, n * n)} for n = {n}, got {operator.shape}")
+        raise ValueError(f"witness operator must have shape {(n * n, n * n)} for n = {n}, got {w.operator.shape}")
     # a NaN would fail deep in LAPACK, and eigh would read a non-Hermitian
     # operator's lower triangle alone
-    op = _require_hermitian(operator)
-    starts = _seesaw_starts(n, restarts, seed)
+    op = _require_hermitian(w.operator)
     structure = _phi_structure(op, n)
-    if structure is None:
-        w2 = op.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
-        w2t = np.ascontiguousarray(w2.T)
-        x = np.ascontiguousarray(starts.T)
-    else:
-        s, table = structure
-        table_t = np.ascontiguousarray(table.T)
-        x = np.ascontiguousarray((starts.conj() * starts).real.T)
+    if structure is not None:
+        return _lattice_floor(*structure)[0]
+    w2 = op.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
+    w2t = np.ascontiguousarray(w2.T)
+    x = np.ascontiguousarray(_seesaw_starts(n, restarts, seed).T)
     # x and last hold the running restarts only, in restart order, and index
     # their positions; a restart's value is written once, when it stops
     value = np.full(restarts, math.inf)
     index = np.arange(restarts)
     last = value.copy()
-    for iteration in range(SEESAW_MAX_ITER):
+    for _ in range(SEESAW_MAX_ITER):
         if index.size == 0:
             break
-        if structure is not None:
-            if index.size == 1:
-                # numpy would sum a lone column pairwise, in another order for n >= 8
-                value[index] = _seesaw_floats(table, s, x[:, 0].tolist(), float(last[0]), SEESAW_MAX_ITER - iteration)
-                break
-            # the factor with the previous phi attains last, with the new phi half
-            half, phi = _secular_half_step(table, s, x, last)
-            new, x = _secular_half_step(table_t, s, phi, half)
-        else:
-            # LAPACK here: heuristic search only, certificates use hermitian_eig.
-            # Outer products shaped (B, 1, n^2), so matmul makes one BLAS call of
-            # the same shape per restart: a 2-D (B, n^2) product would let BLAS
-            # pick its kernel by batch size, and a restart's value must not
-            # depend on how many others run beside it
-            rows = x.T
-            pp = (rows.conj()[:, :, None] * rows[:, None, :]).reshape(-1, 1, n * n)
-            _, vecs = np.linalg.eigh(np.matmul(pp, w2t).reshape(-1, n, n))
-            phi = vecs[:, :, 0]
-            pp = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(-1, 1, n * n)
-            vals, vecs = np.linalg.eigh(np.matmul(pp, w2).reshape(-1, n, n))
-            new, x = vals[:, 0], vecs[:, :, 0].T
+        # LAPACK here: heuristic search only, certificates use hermitian_eig.
+        # Outer products shaped (B, 1, n^2), so matmul makes one BLAS call of
+        # the same shape per restart: a 2-D (B, n^2) product would let BLAS
+        # pick its kernel by batch size, and a restart's value must not
+        # depend on how many others run beside it
+        rows = x.T
+        pp = (rows.conj()[:, :, None] * rows[:, None, :]).reshape(-1, 1, n * n)
+        _, vecs = np.linalg.eigh(np.matmul(pp, w2t).reshape(-1, n, n))
+        phi = vecs[:, :, 0]
+        pp = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(-1, 1, n * n)
+        vals, vecs = np.linalg.eigh(np.matmul(pp, w2).reshape(-1, n, n))
+        new, x = vals[:, 0], vecs[:, :, 0].T
         done = last - new < SEESAW_FTOL
         # a converged restart keeps min(last, new); ties keep last, as min() does
         value[index[done]] = np.where(last <= new, last, new)[done]
@@ -495,10 +469,9 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
     unless tol is finite and non-negative.
     """
     _require_tol(tol)
-    operator = np.asarray(w.operator)
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != operator.shape:
-        raise ValueError(f"expected shape {operator.shape}, got {rho.shape}")
+    if rho.shape != w.operator.shape:
+        raise ValueError(f"expected shape {w.operator.shape}, got {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("state entries must be finite")
     skew = float(np.max(np.abs(rho - rho.conj().T)))
@@ -513,4 +486,4 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
         low = hermitian_eig(rho + (rho.conj().T - rho) / 2).values[0]
         if low < -tol:
             raise ValueError(f"state is not positive semidefinite: eigenvalue {low:.6e}")
-    return float(np.trace(operator @ rho).real)
+    return float(np.trace(w.operator @ rho).real)

@@ -216,7 +216,7 @@ def _cmd_classify(args: argparse.Namespace) -> str:
             "value": value,
             "restarts": args.restarts,
             "seed": args.seed,
-            "note": "seeded see-saw search, evidence only",
+            "note": "simplex-lattice floor polished by the weight see-saw, evidence only",
         },
     }
     inputs = _witness_inputs(args)
@@ -363,8 +363,12 @@ def _build_parser() -> _Parser:
     )
     _add_witness_args(classify)
     classify.add_argument("--tol", type=float, default=DECISION_TOL, help="decision tolerance")
-    classify.add_argument("--seed", type=int, default=DEFAULT_SEED, help="see-saw seed")
-    classify.add_argument("--restarts", type=int, default=16, help="see-saw restarts")
+    classify.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help="see-saw seed; does not change the value for family witnesses"
+    )
+    classify.add_argument(
+        "--restarts", type=int, default=16, help="see-saw restarts; do not change the value for family witnesses"
+    )
     classify.set_defaults(handler=_cmd_classify)
 
     geometry = subs.add_parser("geometry", help="sample cone surfaces and named curves")

@@ -164,10 +164,22 @@ def phi_matrix(emb: OrthogonalEmbedding) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """Block-structured witness operator on C^n x C^n."""
+    """Block-structured witness operator on C^n x C^n.
+
+    The operator is stored as a complex ndarray. One given as such is kept
+    as it is, so `family.witness_from_params` can hand out a writable copy;
+    anything else, such as a nested list or a real array, is converted once
+    into a read-only complex array.
+    """
 
     n: int
     operator: np.ndarray
+
+    def __post_init__(self):
+        op = np.asarray(self.operator, dtype=complex)
+        if op is not self.operator:
+            op.flags.writeable = False
+            object.__setattr__(self, "operator", op)
 
     def trace(self) -> float:
         return float(np.trace(self.operator).real)

@@ -121,6 +121,13 @@ def test_params_from_witness_rejects_non_circulant():
         params_from_witness(Witness(n=4, operator=op))
 
 
+def test_params_from_witness_reads_a_nested_list_operator():
+    # reading .shape of the unconverted list used to raise AttributeError
+    p = WitnessParams(1.5, 0.5, 0.25, 0.75)
+    back = params_from_witness(Witness(n=4, operator=p.witness.operator.tolist()))
+    assert back.as_array().tobytes() == params_from_witness(p.witness).as_array().tobytes()
+
+
 def test_params_from_witness_checks_n_shape_and_circulance():
     op = witness_from_params(WitnessParams(1.5, 0.5, 0.5, 0.5)).operator
     for n, bad in ((4, np.eye(9)), (4, op[:, :15]), (3, op)):

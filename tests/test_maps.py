@@ -182,3 +182,16 @@ def test_max_entangled_projector():
     assert np.trace(p).real == pytest.approx(1.0)
     assert_allclose(p @ p, p, atol=1e-14)
     assert p[0, 5] == pytest.approx(0.25)
+
+
+def test_witness_converts_its_operator_once():
+    # a complex ndarray is kept as given; anything else becomes a fresh,
+    # read-only complex array, leaving the caller's object as it was
+    op = max_entangled_projector(2)
+    assert maps.Witness(n=2, operator=op).operator is op and op.flags.writeable
+    real = np.eye(4)
+    for given in (real, real.tolist()):
+        stored = maps.Witness(n=2, operator=given).operator
+        assert stored.dtype == complex and not stored.flags.writeable
+        assert stored.tobytes() == real.astype(complex).tobytes()
+    assert real.flags.writeable and real.dtype == float

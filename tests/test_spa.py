@@ -25,6 +25,18 @@ def test_spa_mix_endpoints():
         spa_mix(w, 1.5)
 
 
+def test_spa_mix_reads_a_nested_list_operator():
+    # reading .shape of the unconverted list used to raise AttributeError
+    w = WitnessParams(1.0, 0.75, 0.5, 0.75).witness
+    listed = Witness(n=4, operator=w.operator.tolist())
+    assert spa_mix(listed, 0.3).tobytes() == spa_mix(w, 0.3).tobytes()
+
+
+def test_critical_p_reads_a_nested_list_operator():
+    w = WitnessParams(1.0, 0.75, 0.5, 0.75).witness
+    assert critical_p(Witness(n=4, operator=w.operator.tolist())) == critical_p(w)
+
+
 def test_critical_p_frozen_values():
     assert critical_p_from_a(0.0) == pytest.approx(0.8)
     assert critical_p_from_a(1.5) == pytest.approx(2.0 / 3.0)
