@@ -10,6 +10,7 @@ a product vector with a negative expectation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 
@@ -36,6 +37,10 @@ SEESAW_FTOL = 1e-12
 _LATTICE_POINTS = 1000
 _POLISH_COLUMNS = 8
 _SPREAD_COLUMNS = 8
+_CHECK_EVERY = 10
+_SLOW_HORIZON = 20
+_NEWTON_STEPS = 12
+_NEWTON_TOL = 1e-12
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
 
@@ -311,7 +316,10 @@ def _secular_half_step(table: np.ndarray, s: float, w: np.ndarray, bound: np.nda
         least = bare.min(axis=0)
         # the root lies below low, and above least iff s S(least) <= 1
         cols = np.flatnonzero(least < low)
-        ratio = np.add.reduce(w[:, cols] / (weighted[:, cols] - least[cols]), axis=0)
+        # a gap low - least near the float minimum overflows a term to inf,
+        # which is right: S(least) is then above 1 / s
+        with np.errstate(over="ignore"):
+            ratio = np.add.reduce(w[:, cols] / (weighted[:, cols] - least[cols]), axis=0)
         cols = cols[s * ratio <= 1]
         value[cols] = least[cols]
         weights[:, cols] = np.arange(len(w))[:, None] == bare[:, cols].argmin(axis=0)
@@ -349,6 +357,103 @@ def _simplex_points(n: int) -> np.ndarray:
     return points
 
 
+def _hessian_map(s: float, table: np.ndarray) -> np.ndarray:
+    """Q with (w w^T).ravel() @ Q = (H / 2).ravel(), H the Hessian of G at w = (u, v).
+
+    G(u, v) = sum_ik D_ik u_i^2 v_k^2 - s (u.v)^2 is a quartic form in w, so
+    its Hessian is linear in the entries O = w w^T: with T = [[0, D], [D^T, 0]]
+    and sigma the map that swaps the u and v halves of an index,
+    H_ij / 2 = 2 T_ij O_ij - s O_sigma(i)sigma(j) - s (u.v) [j = sigma(i)]
+    + [i = j] sum_k T_ik O_kk, where u.v = sum_a O_a,sigma(a) / 2.
+    """
+    n = len(table)
+    size = 2 * n
+    t = np.zeros((size, size))
+    t[:n, n:] = table
+    t[n:, :n] = table.T
+    swap = np.roll(np.arange(size), n)
+    flat = np.arange(size * size)
+    rows, cols = np.divmod(flat, size)
+    diagonal = np.arange(size) * (size + 1)
+    pairs = np.arange(size) * size + swap
+    q = np.zeros((size * size, size * size))
+    q[flat, flat] = 2.0 * t.ravel()
+    q[swap[rows] * size + swap[cols], flat] -= s
+    q[pairs[:, None], pairs] -= 0.5 * s
+    q[diagonal[:, None], diagonal] += t.T
+    return q
+
+
+def _certified_limits(s: float, table: np.ndarray, p: np.ndarray, q: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """See-saw limits that Newton's method certifies, one per column, inf where it does not; with their weights.
+
+    Column j is a see-saw column at weights p[:, j], q[:, j], whose value is
+    values[j]. With u = sqrt(p) and v = sqrt(q) that value is G(u, v) =
+    sum_ik D_ik u_i^2 v_k^2 - s (u.v)^2, and a limit of the see-saw is a
+    critical point of G on the two unit spheres, where both multipliers equal
+    G. Newton's method runs on that KKT system, of size 2n + 2, from the
+    column's weights, restricted to their support, one batched solve per
+    step: a see-saw column leaves its support only by a jump to a basis
+    vector whose entry undercuts the root, which the last condition below
+    rules out at the point. A column is certified when
+    - the steps converge quadratically: the last below _NEWTON_TOL, the one
+      before it at most its square root;
+    - the bordered matrix has exactly two negative eigenvalues, so the
+      Hessian projected on the tangent space is positive definite and the
+      point is a strict local minimum on the support;
+    - the point's value is not above values[j], as the see-saw never
+      increases, and one secular half-step from its weights p* finds nothing
+      lower by SEESAW_FTOL, so no weight outside the support undercuts it.
+    The limit returned is that half-step's value, attained by the weights
+    returned: p* and the half-step's. The certificate shows a strict local
+    minimum next to the column, not above its value, whose value is
+    attained; it does not prove that the column's see-saw would end there.
+    """
+    n, m = p.shape
+    size = 2 * n
+    hessian = _hessian_map(s, table)
+    halves = np.repeat(np.eye(2), n, axis=0)
+    w = np.sqrt(np.concatenate([p, q]).T)
+    ell = np.repeat(values, 2).reshape(m, 2)
+    free = np.ones((m, size + 2), dtype=bool)
+    free[:, :size] = w > 0
+    # off the support a row and column of the identity keep that weight at 0
+    keep, pin = free[:, :, None] & free[:, None, :], ~free[:, :, None] * np.eye(size + 2)
+    k = np.zeros((m, size + 2, size + 2))
+    f = np.empty((m, size + 2, 1))
+    diagonal = np.arange(size)
+    before = after = np.full(m, math.inf)
+    for _ in range(_NEWTON_STEPS):
+        h = ((w[:, :, None] * w[:, None, :]).reshape(m, -1) @ hessian).reshape(m, size, size)
+        lam = ell @ halves.T
+        # G is quartic, so H w / 2 = 3 grad G / 2: the gradient without a second product
+        f[:, :size] = h @ w[:, :, None] / 3.0 - (lam * w)[:, :, None]
+        f[:, size:, 0] = 0.5 - 0.5 * (w * w) @ halves
+        k[:, :size, :size] = h
+        k[:, diagonal, diagonal] -= lam
+        k[:, size:, :size] = -(w[:, None, :] * halves.T)
+        k[:, :size, size:] = k[:, size:, :size].transpose(0, 2, 1)
+        k *= keep
+        k += pin
+        f *= free[:, :, None]
+        try:
+            step = np.linalg.solve(k, f)[:, :, 0]
+        except np.linalg.LinAlgError:
+            return np.full(m, math.inf), p, q
+        w = w - step[:, :size]
+        ell = ell - step[:, size:]
+        before, after = after, np.abs(step[:, :size]).max(axis=1)
+        if after.max() <= _NEWTON_TOL:
+            break
+    certified = (after <= _NEWTON_TOL) & (before <= math.sqrt(_NEWTON_TOL)) & (ell[:, 0] <= values)
+    certified &= np.count_nonzero(np.linalg.eigvalsh(k) < 0.0, axis=1) == 2
+    weights = w[:, :n].T ** 2
+    weights /= weights.sum(axis=0)
+    limit, q_limit = _secular_half_step(table, s, weights, np.full(m, math.inf))
+    certified &= limit >= ell[:, 0] - SEESAW_FTOL
+    return np.where(certified, limit, math.inf), weights, q_limit
+
+
 def _lattice_floor(s: float, table: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Least <x y|W|x y> found for W = diag(table) - s|Phi><Phi|, with the weights p = |x|^2, q = |y|^2.
 
@@ -358,12 +463,30 @@ def _lattice_floor(s: float, table: np.ndarray) -> tuple[float, np.ndarray, np.n
     `_simplex_points`. The _POLISH_COLUMNS best lattice points and all
     spread points then run the weight see-saw together until every column
     meets the SEESAW_FTOL stop rule, or for SEESAW_MAX_ITER iterations. The
-    floor is the least value the points or the polish attained; it depends
-    on the witness alone. Lattice points alone miss narrow basins next to a
-    face, such as the minimum -0.0039 of (1.8, 1.2, 0, 0) at
-    p = (0, 0.021, 0.131, 0.848), where every lattice point gives 0 or more
-    and the see-saw from the best of them stays at 0; the spread points
-    reach it, some of them only after 30 or more iterations.
+    floor is the least value the points, the polish or a certified limit
+    attained; it depends on the witness alone. Lattice points alone miss
+    narrow basins next to a face, such as the minimum -0.0039 of
+    (1.8, 1.2, 0, 0) at p = (0, 0.021, 0.131, 0.848), where every lattice
+    point gives 0 or more and the see-saw from the best of them stays at 0;
+    the spread points reach it, some of them only after 30 or more
+    iterations.
+
+    Columns that creep towards their limit are retired early. Every
+    _CHECK_EVERY iterations, if a column's steps shrink so slowly that its
+    rate would keep it above SEESAW_FTOL for _SLOW_HORIZON more iterations,
+    every column still decreasing goes to `_certified_limits`. A certified
+    limit lowers the floor and its column stops; the others run on, and after
+    a check that failed to certify one the next comes twice as late. The
+    certificate proves a strict local minimum next to the column, with its
+    value attained; it does not prove that the column would have ended
+    there, and a column that would have crept past it into a lower basin
+    is lost. A column's state is never replaced by the Newton point: the
+    point may lie in another basin than the one the column creeps into (near
+    the vertex (2, 1, 0, 0) a column that creeps into a narrow face basin
+    starts next to the uniform minimum). So the columns that run keep their
+    see-saw path bit for bit, as the secular half-step treats its columns
+    independently; one column alone would sum in another order, so it runs
+    twice.
     """
     points = _simplex_points(len(table))
     values, q = _secular_half_step(table, s, points, np.full(points.shape[1], math.inf))
@@ -374,15 +497,36 @@ def _lattice_floor(s: float, table: np.ndarray) -> tuple[float, np.ndarray, np.n
     cols = np.concatenate([top, np.arange(lattice, points.shape[1])])
     last, q = values[cols], q[:, cols]
     table_t = np.ascontiguousarray(table.T)
-    for _ in range(SEESAW_MAX_ITER):
+    check = interval = _CHECK_EVERY
+    for it in range(1, SEESAW_MAX_ITER + 1):
         # the polished factor with the previous q attains last, with the new q new
         half, p = _secular_half_step(table_t, s, q, last)
         new, q = _secular_half_step(table, s, p, half)
         k = new.argmin()
         if new[k] < best[0]:
             best = new[k], p[:, k], q[:, k]
-        if (last - new < SEESAW_FTOL).all():
+        step = last - new
+        if (step < SEESAW_FTOL).all():
             break
+        if it == check:
+            moving = np.flatnonzero((step >= SEESAW_FTOL) & (step < previous))
+            rate = step[moving] / previous[moving]
+            if (step[moving] * rate**_SLOW_HORIZON > SEESAW_FTOL).any():
+                limit, p_limit, q_limit = _certified_limits(s, table, p[:, moving], q[:, moving], new[moving])
+                j = limit.argmin()
+                if limit[j] < best[0]:
+                    best = limit[j], p_limit[:, j], q_limit[:, j]
+                done = np.isfinite(limit)
+                if not done.all():
+                    interval *= 2
+                running = np.delete(np.arange(new.size), moving[done])
+                if running.size == 0:
+                    break
+                if running.size == 1:
+                    running = np.repeat(running, 2)
+                new, q, step = new[running], q[:, running], step[running]
+            check += interval
+        previous = step
         last = new
     return float(best[0]), best[1], best[2]
 
@@ -394,7 +538,11 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
     W = diag - s|Phi><Phi| (`_phi_structure`), as every family witness is,
     it is the lattice floor (`_lattice_floor`): f(p), the least value at
     weights |psi|^2 = p, on a fixed simplex lattice and a few spread points,
-    polished by the weight see-saw. It reads neither restarts nor seed. Any
+    polished by the weight see-saw, whose creeping columns stop once Newton's
+    method certifies a strict local minimum next to them (`_certified_limits`);
+    that minimum's value is attained and enters the floor, but the
+    certificate does not prove that the column would have ended there. It
+    reads neither restarts nor seed, though both must be integers. Any
     other witness alternates exact minimization over each tensor factor
     (bottom eigenvector of the contracted n x n matrix) from seeded random
     product starts, and the value never increases when restarts grow under
@@ -403,10 +551,17 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
     r starts from row r of `_seesaw_starts`. A half-step contracts the outer
     products of the running factors with the realigned witness, whose row
     (k, l) and column (i, j) hold <ik|W|jl>, in one stacked matmul, and
-    takes a stacked eigh. Raises ValueError unless restarts >= 1, seed >= 0
+    takes a stacked eigh. Raises ValueError unless restarts and seed are
+    integers (`operator.index` accepts them), restarts >= 1, seed >= 0
     and the operator is n^2 x n^2, finite and Hermitian within
     HERMITIAN_TOL.
     """
+    for name, value in (("restarts", restarts), ("seed", seed)):
+        try:
+            operator.index(value)
+        except TypeError:
+            # the lattice path reads neither, and numpy's messages name neither
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if restarts < 1:
         # 0 restarts would return inf, and numpy's message for a negative
         # count names neither the argument nor its value

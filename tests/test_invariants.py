@@ -36,7 +36,7 @@ from test_cli import strict_loads
 from test_seesaw import check_lattice_floor, former_halves, ref_block_positivity_min
 
 from ewcones import cli
-from ewcones.certify import DECISION_TOL, block_positivity_min, certify_decomposability
+from ewcones.certify import DECISION_TOL, _product_evidence, block_positivity_min, certify_decomposability
 from ewcones.cones import cone_residuals, ellipse_point
 from ewcones.family import WitnessParams, abcd_from_euler
 from ewcones.linalg import partial_transpose
@@ -137,6 +137,17 @@ def test_block_positivity_is_at_most_the_least_parameter(params):
     for restarts, seed in ((4, 0), (8, 1)):
         value = block_positivity_min(params.witness, restarts=restarts, seed=seed)
         assert value <= min(params.a, params.b, params.c, params.d) + MATCH_TOL, (params, restarts, seed)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(valid_params())
+def test_lattice_floor_is_at_most_its_closed_form_candidates(params):
+    # the lattice holds e_i, (1/2, 0, 1/2, 0) and (1/2, 1/2, 0, 0), where f is
+    # min(a, b, c, d) and at most the closed-form product expectations
+    a, b, c, d = params.a, params.b, params.c, params.d
+    value = block_positivity_min(params.witness)
+    assert value <= min(a, b, c, d) + 1e-15, (params, value)
+    assert value <= _product_evidence(a, b, c, d)[0] + 1e-15, (params, value)
 
 
 # For entries in [0, 3] the float residuals sum a few rounded terms below 40,

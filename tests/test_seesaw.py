@@ -21,7 +21,10 @@ their own: a stacked matmul equals its rows contracted one at a time, and
 the first k starts do not depend on the restart count. On the lattice path
 the floor must not lie above the reference by more than SEESAW_FTOL, and the
 weights it returns must attain its value. The secular half-step is checked
-against eigh, and the n = 3 floor against the Cho-Kye-Lee criterion.
+against eigh, and the n = 3 floor against the Cho-Kye-Lee criterion. Polish
+columns that a Newton certificate retires are run on by a see-saw with eigh,
+which must not pass their certified limits, and members near the vertex
+limit (2, 1, 0, 0) must keep the face-basin floors they had before.
 
 The three-operand einsums the see-saw used before the realignment stay here
 as a second reference, with eigh throughout: the contraction must match them
@@ -32,13 +35,16 @@ conjugated by local diagonal phases keeps its see-saw but leaves the
 diag - s|Phi><Phi| form, so it runs the eigh path on a family-like witness.
 """
 import math
+import re
 
 import numpy as np
 import pytest
 
+from ewcones import certify
 from ewcones.certify import (
     SEESAW_FTOL,
     SEESAW_MAX_ITER,
+    _certified_limits,
     _lattice_floor,
     _phi_structure,
     _seesaw_starts,
@@ -302,6 +308,16 @@ def test_secular_half_step_takes_both_deflation_branches():
         assert root[0][0] < 2.9 and root[1][0, 0] == 0.0
 
 
+def test_deflation_next_to_a_near_tie_does_not_overflow():
+    # the see-saw reaches a subnormal weight, whose entry of e is 5.3e-309
+    # above a bare entry 0: the deflation test divided a weight by that gap,
+    # which overflowed with a RuntimeWarning (an error here); the term is
+    # inf, and the root stays
+    w = diagonal_minus_phi(np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]]))
+    assert block_positivity_min(w) == -1.0
+    check_lattice_floor(w, -1.0)
+
+
 def test_spread_points_reach_a_narrow_basin_next_to_a_face():
     # every lattice point of (1.8, 1.2, 0, 0) gives 0 or more, and the see-saw
     # from the best of them stays at 0: the minimum, -0.0039436 at
@@ -312,6 +328,85 @@ def test_spread_points_reach_a_narrow_basin_next_to_a_face():
     assert _secular_half_step(table, s, lattice, np.full(lattice.shape[1], math.inf))[0].min() >= 0.0
     value, p, q = _lattice_floor(s, table)
     assert value <= -0.0039435 and abs(attained(w, p, q) - value) <= 1e-12
+
+
+# Floors at commit d126f0d, where every polish column ran to the stop rule,
+# near the vertex limit (2 - t, 1 + t, 0, 0) and its rotation (2 - t, 0, 0, 1 + t).
+# Their minima lie in narrow face basins at weights of order t and t^2; a
+# polish that moved a creeping column onto the Newton point next to it lost
+# them to the uniform minimum 0.
+VERTEX_FLOORS = {
+    (4.266e-3, 1): -7.626913988437395e-08,
+    (4.266e-3, 3): -7.626891310623721e-08,
+    (2.07e-3, 1): -8.171394955069856e-09,
+    (2.07e-3, 3): -8.176083931222877e-09,
+    (2e-3, 1): -7.269225083749939e-09,
+    (2e-3, 3): -7.274124270386962e-09,
+    (1.1e-3, 1): -2.220446049250313e-16,
+    (1.1e-3, 3): -2.220446049250313e-16,
+}
+
+
+@pytest.mark.parametrize("t, side", sorted(VERTEX_FLOORS))
+def test_vertex_limit_keeps_its_face_basin(t, side):
+    params = [2.0 - t, 0.0, 0.0, 0.0]
+    params[side] = 1.0 + t
+    check_lattice_floor(WitnessParams(*params).witness, VERTEX_FLOORS[t, side])
+
+
+def seesaw_floor_members():
+    """The members of perfbench's seesaw-floor corpus: 28 rotation members of design seed 2012 and the reduction witness."""
+    design = np.random.default_rng(2012)
+    n = 28
+    strata = (np.arange(n) + design.uniform(0.0, 1.0, n)) / n
+    alphas = 2 * np.pi * strata[design.permutation(n)]
+    gammas = 2 * np.pi * strata[design.permutation(n)]
+    betas = np.arccos(1.0 - 2.0 * strata[design.permutation(n)])
+    members = [abcd_from_euler(alphas[k], betas[k], gammas[k], parity=("proper", "improper")[k % 2]) for k in range(n)]
+    return members + [WitnessParams(0.0, 1.0, 1.0, 1.0)]
+
+
+HARD_MEMBERS = [
+    WitnessParams(1.8, 1.2, 0.0, 0.0),
+    WitnessParams(1.9928571428571429, 1.0071428571428571, 0.0, 0.0),
+    WitnessParams(1.9714, 1.0286, 0.0, 0.0),
+    WitnessParams(1.0147, 0.0, 1.9853, 0.0),
+]
+
+
+def eigh_weight_seesaw(tables, s, q, iterations):
+    """The plain weight see-saw by eigh, one table and s per column, from weights q; the last values."""
+    diagonal = np.arange(q.shape[1])
+    for _ in range(iterations):
+        for t in (tables, tables.transpose(0, 2, 1)):
+            root = np.sqrt(q)
+            m = -s[:, None, None] * root[:, :, None] * root[:, None, :]
+            m[:, diagonal, diagonal] += (t @ q[:, :, None])[:, :, 0]
+            values, vectors = np.linalg.eigh(m)
+            q = vectors[:, :, 0] ** 2
+    return values[:, 0]
+
+
+def test_retired_columns_never_pass_their_certified_limit(monkeypatch):
+    # every column the certificate retires, run on by the plain see-saw
+    # (eigh, not the secular half-step) for 5,000 iterations, must not end
+    # below its certified limit by more than SEESAW_FTOL
+    retired = []
+
+    def recording(s, table, p, q, values):
+        limit, p_limit, q_limit = _certified_limits(s, table, p, q, values)
+        for j in np.flatnonzero(np.isfinite(limit)):
+            retired.append((s, table, q[:, j], limit[j]))
+        return limit, p_limit, q_limit
+
+    monkeypatch.setattr(certify, "_certified_limits", recording)
+    for params in seesaw_floor_members() + HARD_MEMBERS:
+        w = params.witness
+        _lattice_floor(*_phi_structure(w.operator, w.n))
+    assert len(retired) >= 100, len(retired)
+    s, tables, q, limits = (np.array(column) for column in zip(*retired))
+    ends = eigh_weight_seesaw(tables, s, q, 5000)
+    assert np.all(ends >= limits - SEESAW_FTOL), (ends - limits).min()
 
 
 def cho_kye_lee_margin(a, b, c):
@@ -412,6 +507,26 @@ def test_restarts_below_one_are_named_in_the_error(restarts):
     # 0 restarts used to return inf, and -2 numpy's bare "negative dimensions"
     with pytest.raises(ValueError, match=f"^restarts must be at least 1, got {restarts}$"):
         block_positivity_min(WITNESSES["1110"], restarts=restarts, seed=0)
+
+
+@pytest.mark.parametrize("path", ["lattice", "eigh"])
+@pytest.mark.parametrize(
+    "name, value", [("restarts", math.nan), ("restarts", 2.5), ("restarts", "3"), ("seed", 1.5), ("seed", math.nan)]
+)
+def test_non_integer_restarts_and_seed_are_named_in_the_error(path, name, value):
+    # the lattice path read neither and returned a floor; the eigh path
+    # failed in numpy with messages that named neither argument
+    w = {"lattice": WITNESSES["1110"], "eigh": PHASED}[path]
+    arguments = {"restarts": 2, "seed": 0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        block_positivity_min(w, **arguments)
+
+
+@pytest.mark.parametrize("path", ["lattice", "eigh"])
+def test_numpy_integer_restarts_and_seed_are_accepted(path):
+    w = {"lattice": WITNESSES["1110"], "eigh": PHASED}[path]
+    got = block_positivity_min(w, restarts=np.int64(4), seed=np.uint8(2))
+    assert same_bits(got, block_positivity_min(w, restarts=4, seed=2))
 
 
 @pytest.mark.parametrize("name", sorted(WITNESSES))
