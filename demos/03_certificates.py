@@ -1,10 +1,15 @@
 """Decomposability certificates and entanglement detection.
 
-The rule is sharp: a family witness is decomposable exactly when b = d.
-Both verdicts come with checkable evidence. The b = d side produces an
-explicit split W = P + Q^T_B with P, Q positive semidefinite; the b != d
-side produces a PPT state whose pairing with the witness is negative,
-which no decomposable witness can achieve.
+A family witness is decomposable only when b = d, and each of the three
+verdicts comes with checkable evidence:
+
+- decomposable (b = d): an explicit split W = P + Q^T_B with P, Q
+  positive semidefinite;
+- not-block-positive (b = d, but P or Q is not PSD, which happens off the
+  cones): a product vector whose expectation is negative, so W is not a
+  witness at all;
+- indecomposable (b != d): a PPT state whose pairing with the witness is
+  negative, which no decomposable witness can achieve.
 """
 import numpy as np
 
@@ -26,6 +31,12 @@ print(f"  gram spectrum {np.round(cert.a_eigenvalues, 12)}")
 print(f"  reconstruction error {cert.reconstruction_error:.2e},"
       f" P psd: {cert.p_psd}, Q psd: {cert.q_psd}")
 
+# b = d off the cones: the split fails and a product vector shows why
+p = WitnessParams(0.0, 1.5, 0.0, 1.5)
+cert = certify_decomposability(p)
+print(f"\npoint {tuple(float(x) for x in p.as_array())}: {cert.verdict}")
+print(f"  product value {cert.product_value}, P psd: {cert.p_psd}, Q psd: {cert.q_psd}")
+
 # b != d: a PPT probe state the witness still sees
 p = WitnessParams(1.0, 1.0, 1.0, 0.0)
 cert = certify_decomposability(p)
@@ -45,11 +56,11 @@ w = witness_from_params(p)
 value = detect(w, rho)
 print(f"  detector value {value:.6f} -> entangled: {value < -1e-9}")
 
-# block positivity by see-saw search over product vectors (evidence, not proof)
-floor = block_positivity_min(w, restarts=32, seed=0)
-print(f"\nsee-saw product minimum for this witness: {floor:.2e}")
+# block positivity: the lattice floor over product vectors (evidence, not proof)
+floor = block_positivity_min(w)
+print(f"\nlattice floor for this witness: {floor:.2e}")
 
 # a flat witness that touches zero: the reduction-type point (0, 1, 1, 1)
 w0 = witness_from_params(WitnessParams(0.0, 1.0, 1.0, 1.0))
-floor = block_positivity_min(w0, restarts=32, seed=0)
-print(f"see-saw product minimum for the a = 0 member: {floor:.2e}")
+floor = block_positivity_min(w0)
+print(f"lattice floor for the a = 0 member: {floor:.2e}")

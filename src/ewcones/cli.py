@@ -26,8 +26,6 @@ from .spa import spa_decompose
 
 __all__ = ["main", "matrix_from_pairs", "matrix_to_pairs"]
 
-DEFAULT_SEED = 0
-MAX_RESTARTS = 4096
 MAX_RESOLUTION = 512
 
 
@@ -132,7 +130,7 @@ def _error_record(command, kind: str, message: str) -> str:
     return _dumps({"command": command, "error": {"kind": kind, "message": message}})
 
 
-def _run_record(command, inputs, outputs, errata, seed) -> str:
+def _run_record(command, inputs, outputs, errata) -> str:
     """The serialized run record: the one text printed and written to --out."""
     return _dumps({
         "command": command,
@@ -140,7 +138,8 @@ def _run_record(command, inputs, outputs, errata, seed) -> str:
         "outputs": outputs,
         "errata_applied": list(errata),
         "tool_version": __version__,
-        "seed": seed,
+        # kept for readers of earlier records: no command draws random numbers
+        "seed": None,
     })
 
 
@@ -200,13 +199,10 @@ def _certificate_payload(cert) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> str:
-    _require_between("--restarts", args.restarts, 1, MAX_RESTARTS)
-    if args.seed < 0:
-        raise CommandError("usage", f"--seed must be non-negative, got {args.seed}", 2)
     _require_tol_flag(args.tol)
     params = _resolve_params(args)
     cert = certify_decomposability(params, tol=args.tol)
-    value = block_positivity_min(params.witness, restarts=args.restarts, seed=args.seed)
+    value = block_positivity_min(params.witness)
     outputs = {
         "params": _params_payload(params),
         "provenance": None if params.provenance is None else dict(params.provenance),
@@ -214,15 +210,12 @@ def _cmd_classify(args: argparse.Namespace) -> str:
         "certificate": _certificate_payload(cert),
         "block_positivity": {
             "value": value,
-            "restarts": args.restarts,
-            "seed": args.seed,
             "note": "simplex-lattice floor polished by the weight see-saw, evidence only",
         },
     }
     inputs = _witness_inputs(args)
     inputs["tol"] = args.tol
-    inputs["restarts"] = args.restarts
-    return _run_record("classify", inputs, outputs, [], args.seed)
+    return _run_record("classify", inputs, outputs, [])
 
 
 def _geometry_rows(cones: tuple[str, ...], resolution: int) -> list[tuple[str, np.ndarray]]:
@@ -281,11 +274,11 @@ def _cmd_geometry(args: argparse.Namespace) -> str:
             fh.write("b,c,d,tag\r\n")
             fh.writelines(f"{b!r},{c!r},{d!r},{tag}\r\n" for tag, rows in segments for b, c, d in rows.tolist())
         outputs = {"path": args.out, "rows": sum(counts.values()), "counts": counts}
-        return _run_record("geometry", inputs, outputs, [], None)
+        return _run_record("geometry", inputs, outputs, [])
     rows = _json_rows(segments)
     # json.dumps writes an empty list as [] and escapes every quote inside a
     # string, so the first '"rows": []' is the outputs key: the rows go there
-    text = _run_record("geometry", inputs, {"rows": [], "counts": counts}, [], None)
+    text = _run_record("geometry", inputs, {"rows": [], "counts": counts}, [])
     text = text.replace('"rows": []', f'"rows": {rows}', 1)
     if args.out is not None:
         with _open_out(args.out) as fh:
@@ -307,7 +300,7 @@ def _cmd_spa(args: argparse.Namespace) -> str:
         "reconstruction_error": result.reconstruction_error,
     }
     errata = ["spa-critical-p-sign", "spa-normalization-sign"]
-    return _run_record("spa", _witness_inputs(args), outputs, errata, None)
+    return _run_record("spa", _witness_inputs(args), outputs, errata)
 
 
 def _cmd_detect(args: argparse.Namespace) -> str:
@@ -329,7 +322,7 @@ def _cmd_detect(args: argparse.Namespace) -> str:
         "value": value,
         "entangled": bool(value < -args.tol),
     }
-    return _run_record("detect", inputs, outputs, [], None)
+    return _run_record("detect", inputs, outputs, [])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -363,12 +356,6 @@ def _build_parser() -> _Parser:
     )
     _add_witness_args(classify)
     classify.add_argument("--tol", type=float, default=DECISION_TOL, help="decision tolerance")
-    classify.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="see-saw seed; does not change the value for family witnesses"
-    )
-    classify.add_argument(
-        "--restarts", type=int, default=16, help="see-saw restarts; do not change the value for family witnesses"
-    )
     classify.set_defaults(handler=_cmd_classify)
 
     geometry = subs.add_parser("geometry", help="sample cone surfaces and named curves")

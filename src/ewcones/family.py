@@ -195,6 +195,8 @@ def appendix_matrix(block: np.ndarray, corrected: bool = True) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.shape != (3, 3):
         raise ValueError(f"expected a 3 x 3 block, got shape {block.shape}")
+    if not np.isfinite(block).all():
+        raise ValueError("block entries must be finite")
     m = np.zeros((4, 4))
     for label, coeffs in _APPENDIX_COEFFS.items():
         value = 0.75

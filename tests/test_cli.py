@@ -68,11 +68,11 @@ def test_matrix_to_pairs_equals_per_element_floats(kind):
 
 
 def test_classify_euler_params_round_trip(capsys):
-    code, rec1 = run(capsys, ["classify", "--euler", "0.3,0.9,2.1", "--restarts", "4"])
+    code, rec1 = run(capsys, ["classify", "--euler", "0.3,0.9,2.1"])
     assert code == 0
     p = rec1["outputs"]["params"]
     params_arg = ",".join(repr(p[k]) for k in "abcd")
-    code, rec2 = run(capsys, ["classify", "--params", params_arg, "--restarts", "4"])
+    code, rec2 = run(capsys, ["classify", "--params", params_arg])
     assert code == 0
     for section in ("params", "cones", "certificate", "block_positivity"):
         assert rec1["outputs"][section] == rec2["outputs"][section]
@@ -81,7 +81,7 @@ def test_classify_euler_params_round_trip(capsys):
 
 
 def test_classify_payload_decomposable(capsys):
-    code, rec = run(capsys, ["classify", "--euler", "0,0,0", "--restarts", "2"])
+    code, rec = run(capsys, ["classify", "--euler", "0,0,0"])
     assert code == 0
     out = rec["outputs"]
     assert out["params"] == {"a": 1.5, "b": 0.5, "c": 0.5, "d": 0.5}
@@ -95,7 +95,7 @@ def test_classify_payload_decomposable(capsys):
 
 
 def test_classify_payload_indecomposable(capsys):
-    code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--restarts", "2"])
+    code, rec = run(capsys, ["classify", "--params", "1,1,1,0"])
     assert code == 0
     cert = rec["outputs"]["certificate"]
     assert cert["verdict"] == "indecomposable"
@@ -107,7 +107,7 @@ def test_classify_payload_indecomposable(capsys):
 
 
 def test_classify_payload_not_block_positive(capsys):
-    code = main(["classify", "--params", "0,1.5,0,1.5", "--restarts", "8"])
+    code = main(["classify", "--params", "0,1.5,0,1.5"])
     rec = strict_loads(capsys.readouterr().out)
     assert code == 0
     out = rec["outputs"]
@@ -141,7 +141,7 @@ def test_cone_member_certificates_keep_their_fields():
 
 
 def test_classify_unbounded_interval_serializes_null(capsys):
-    code, rec = run(capsys, ["classify", "--params", "1,0,1,1", "--restarts", "2"])
+    code, rec = run(capsys, ["classify", "--params", "1,0,1,1"])
     assert code == 0
     interval = rec["outputs"]["certificate"]["epsilon_interval"]
     assert interval[0] == pytest.approx(1.0)
@@ -149,7 +149,7 @@ def test_classify_unbounded_interval_serializes_null(capsys):
 
 
 def test_classify_outlier_warns_but_succeeds(capsys):
-    code, rec = run(capsys, ["classify", "--params", "2,1,0,0", "--restarts", "2"])
+    code, rec = run(capsys, ["classify", "--params", "2,1,0,0"])
     assert code == 0
     cert = rec["outputs"]["certificate"]
     assert not cert["on_cone"]
@@ -160,7 +160,7 @@ def test_classify_outlier_warns_but_succeeds(capsys):
 
 def test_classify_cone_verdicts_share_the_record_tol(capsys):
     # off cone II by about 1e-10: outside --tol 1e-12, inside the default 1e-9
-    params = ["--params", "1", "1.00000000005", "1", "-0.00000000005", "--restarts", "2"]
+    params = ["--params", "1", "1.00000000005", "1", "-0.00000000005"]
     for tol, on_cone in (("1e-12", False), ("1e-9", True)):
         code, rec = run(capsys, ["classify", *params, "--tol", tol])
         assert code == 0
@@ -212,12 +212,12 @@ def strict_loads(text):
 
 
 def test_records_are_strict_json(capsys, monkeypatch, tmp_path):
-    code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--restarts", "0"])
+    code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--tol", "0"])
     assert code == 2
-    assert rec["error"]["kind"] == "usage" and "--restarts" in rec["error"]["message"]
+    assert rec["error"]["kind"] == "usage" and "--tol" in rec["error"]["message"]
     # a record holding a non-finite number becomes a validation error record
     monkeypatch.setattr("ewcones.cli.block_positivity_min", lambda *a, **k: math.inf)
-    code = main(["classify", "--params", "1,1,1,0", "--restarts", "2"])
+    code = main(["classify", "--params", "1,1,1,0"])
     rec = strict_loads(capsys.readouterr().out)
     assert code == 3 and rec["error"]["kind"] == "validation"
     monkeypatch.setattr("ewcones.cli.sample_cloud", lambda cone, res: [(math.nan, 1.0, 1.0)])
@@ -236,7 +236,7 @@ def test_classify_serializes_the_certificate_probe(capsys, monkeypatch):
     # asks a numerical PSD test
     monkeypatch.setattr(certify, "_psd_proved_checked", no_solver)
     monkeypatch.setattr(certify, "hermitian_eig", no_solver)
-    code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--restarts", "2"])
+    code, rec = run(capsys, ["classify", "--params", "1,1,1,0"])
     assert code == 0
     cert = rec["outputs"]["certificate"]
     assert cert["epsilon"] == 0.5
@@ -259,6 +259,8 @@ def test_usage_errors():
         (["classify", "--params", "1,1,1,0", "--bogus"], "--bogus"),
         (["spa", "--params", "0,1,1,1", "--tol", "1e-9"], "--tol 1e-9"),
         (["detect", "--params", "0,1,1,1"], "--state"),
+        (["classify", "--params", "1,0.75,0.5,0.75", "--restarts", "2"], "--restarts 2"),
+        (["classify", "--params", "1,0.75,0.5,0.75", "--seed", "3"], "--seed 3"),
     ],
 )
 def test_argparse_errors_print_one_usage_record(capsys, argv, named):
@@ -308,7 +310,7 @@ def test_params_pieces_parse_or_give_a_usage_record(capsys):
     assert code == 2
     assert rec["error"] == {"kind": "usage", "message": "--params expects numbers, got 'x'"}
     # an empty piece between commas is skipped, not read as a value
-    code, rec = run(capsys, ["classify", "--params", "1,,1,1,0", "--restarts", "2"])
+    code, rec = run(capsys, ["classify", "--params", "1,,1,1,0"])
     assert code == 0
     assert rec["inputs"]["params"] == [1.0, 1.0, 1.0, 0.0]
 
@@ -325,29 +327,24 @@ def test_degrees_flag(capsys):
 
 
 def test_seed_resolution(capsys, monkeypatch):
-    code, rec = run(capsys, ["classify", "--euler", "0,0,0", "--restarts", "2"])
-    assert code == 0 and rec["seed"] == cli.DEFAULT_SEED
-    assert rec["outputs"]["block_positivity"]["seed"] == cli.DEFAULT_SEED
-    code, rec = run(capsys, ["classify", "--euler", "0,0,0", "--restarts", "2", "--seed", "4"])
-    assert code == 0 and rec["seed"] == 4
-    # the seed comes from argv alone: the environment variable of earlier
-    # versions no longer changes the record
-    monkeypatch.setenv("EWCONES_SEED", "11")
-    code, rec = run(capsys, ["classify", "--euler", "0,0,0", "--restarts", "2"])
-    assert code == 0 and rec["seed"] == cli.DEFAULT_SEED
-    monkeypatch.setenv("EWCONES_SEED", "pear")
-    code, rec = run(capsys, ["classify", "--euler", "0,0,0", "--restarts", "2"])
-    assert code == 0 and rec["seed"] == cli.DEFAULT_SEED
+    # no command draws random numbers: every record's seed is null
+    code, rec = run(capsys, ["classify", "--euler", "0,0,0"])
+    assert code == 0 and rec["seed"] is None
+    # the environment variable of earlier versions still changes nothing
+    for value in ("11", "pear"):
+        monkeypatch.setenv("EWCONES_SEED", value)
+        code, again = run(capsys, ["classify", "--euler", "0,0,0"])
+        assert code == 0 and again == rec
 
 
 def test_fixed_seed_classify_record_is_byte_identical(capsys):
-    argv = ["classify", "--params", "0.5,0.75,1.0,0.75", "--restarts", "64", "--seed", "3"]
+    argv = ["classify", "--params", "0.5,0.75,1.0,0.75"]
     outs = []
     for _ in range(2):
         assert main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
-    assert json.loads(outs[0])["seed"] == 3
+    assert json.loads(outs[0])["seed"] is None
 
 
 def test_geometry_json(capsys):
@@ -512,8 +509,9 @@ def test_only_classify_and_detect_take_tol(capsys, tmp_path):
     code, rec = run(capsys, ["spa", "--params", "0,1,1,1"])
     assert code == 0 and "tol" not in rec["inputs"]
     witness_keys = ["euler", "parity", "degrees", "params"]
-    code, rec = run(capsys, ["classify", "--params", "0,1,1,1", "--restarts", "2"])
-    assert list(rec["inputs"]) == [*witness_keys, "tol", "restarts"]
+    code, rec = run(capsys, ["classify", "--params", "0,1,1,1"])
+    assert list(rec["inputs"]) == [*witness_keys, "tol"]
+    assert list(rec["outputs"]["block_positivity"]) == ["value", "note"]
     state = tmp_path / "state.json"
     state.write_text(json.dumps(matrix_to_pairs(max_entangled_projector(4))))
     code, rec = run(capsys, ["detect", "--params", "0,1,1,1", "--state", str(state)])
@@ -582,19 +580,6 @@ def test_detect_non_finite_state_file(capsys, tmp_path):
     assert rec["error"]["kind"] == "validation" and "finite" in rec["error"]["message"]
 
 
-@pytest.mark.parametrize("restarts", [cli.MAX_RESTARTS + 1, 10**12])
-def test_restarts_above_bound_are_usage_errors(capsys, monkeypatch, restarts):
-    # rejected before any work: the see-saw and the certificate are never reached
-    def never(*args, **kwargs):
-        raise AssertionError("reached past the --restarts check")
-
-    monkeypatch.setattr(cli, "block_positivity_min", never)
-    monkeypatch.setattr(cli, "certify_decomposability", never)
-    code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--restarts", str(restarts)])
-    assert code == 2
-    assert rec["error"]["kind"] == "usage" and str(cli.MAX_RESTARTS) in rec["error"]["message"]
-
-
 @pytest.mark.parametrize("resolution", [-1, 0, 1, cli.MAX_RESOLUTION + 1, 10**6])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_resolution_out_of_range_is_usage_error(capsys, monkeypatch, tmp_path, resolution, fmt):
@@ -617,19 +602,6 @@ def test_resolution_bounds_are_accepted(capsys, tmp_path):
                                  "--format", "csv", "--out", str(out)])
         assert code == 0
         assert rec["outputs"]["counts"]["I"] == 1 + resolution * (resolution - 1)
-
-
-@pytest.mark.parametrize("seed", [-1, -(2**63)])
-def test_negative_seed_is_usage_error(capsys, monkeypatch, seed):
-    # rejected next to --restarts, before any certificate is computed
-    def never(*args, **kwargs):
-        raise AssertionError("reached past the --seed check")
-
-    monkeypatch.setattr(cli, "certify_decomposability", never)
-    code, rec = run(capsys, ["classify", "--params", "1,1,1,0", "--seed", str(seed)])
-    assert code == 2
-    assert rec["command"] == "classify"
-    assert rec["error"] == {"kind": "usage", "message": f"--seed must be non-negative, got {seed}"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -678,12 +650,12 @@ def test_closed_stdout_exits_4_without_traceback():
 @pytest.mark.parametrize("witness", [["--params", "1,0.75,0.5,0.75"], ["--params", "1,1,1,0"],
                                      ["--euler", "0.3,0.9,2.1", "--parity", "improper"]])
 def test_classify_assembles_the_witness_once(capsys, witness_assemblies, witness):
-    code, rec = run(capsys, ["classify", *witness, "--restarts", "2"])
+    code, rec = run(capsys, ["classify", *witness])
     assert code == 0 and len(witness_assemblies) == 1
 
 
 def test_classify_cones_are_the_report_without_tol(capsys):
-    code, rec = run(capsys, ["classify", "--params", "1,0,1,1", "--restarts", "1"])
+    code, rec = run(capsys, ["classify", "--params", "1,0,1,1"])
     report = cone_residuals(WitnessParams(1.0, 0.0, 1.0, 1.0))
     cones = rec["outputs"]["cones"]
     assert list(cones) == [

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 import warnings
 
@@ -146,6 +147,16 @@ def test_appendix_entries_rejects_a_block_that_is_not_3x3():
     for shape in ((4, 4), (3,), (3, 2)):
         with pytest.raises(ValueError, match="expected a 3 x 3 block"):
             appendix_matrix(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_appendix_entries_rejects_a_block_that_is_not_finite(bad):
+    block = np.eye(3)
+    block[1, 2] = bad
+    with pytest.raises(ValueError, match="block entries must be finite"):
+        appendix_matrix(block)
+    with pytest.raises(ValueError, match="block entries must be finite"):
+        appendix_matrix(np.full((3, 3), bad), corrected=False)
 
 
 def test_appendix_matches_phi():

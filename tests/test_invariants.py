@@ -264,14 +264,12 @@ FLAG_VALUES = {
     "--euler": (["0.3,1.1,-0.4", "10 20 30"], ["1,2", "inf,0,0"]),
     "--parity": (["proper", "improper"], ["mirror"]),
     "--tol": (["1e-9", "1e-3"], ["0", "-1", "nan", "x"]),
-    "--restarts": (["1", "4", "8"], ["0", "-3", "4097", "x"]),
-    "--seed": (["0", "7"], ["-1", "x"]),
     "--resolution": (["2", "3"], ["1", "513", "x"]),
     "--cone": (["I", "II", "both"], ["III"]),
     "--format": (["json"], ["csv", "xml"]),  # csv without --out is a usage error
 }
 OPTIONAL_FLAGS = {
-    "classify": ["--tol", "--seed"],
+    "classify": ["--tol"],
     "spa": [],
     "detect": ["--tol"],
     "geometry": ["--resolution", "--cone", "--format"],
@@ -284,8 +282,6 @@ def cli_argv(draw, state_paths):
     dropped flag, a conflicting or unknown flag, or an unknown command.
 
     --help and --version print plain text by design and are not drawn.
-    --restarts is always given and is never dropped, so a see-saw runs at 8
-    restarts or fewer; an out-of-range value is rejected before any work.
     """
     command = draw(st.sampled_from(sorted(OPTIONAL_FLAGS)))
     values = dict(FLAG_VALUES, **{"--state": (state_paths[:3], state_paths[3:])})
@@ -294,12 +290,13 @@ def cli_argv(draw, state_paths):
         flags.append(draw(st.sampled_from(["--params", "--euler"])))
         if flags[0] == "--euler" and draw(st.booleans()):
             flags.append("--parity")
-    flags += {"classify": ["--restarts"], "detect": ["--state"]}.get(command, [])
+    if command == "detect":
+        flags.append("--state")
     flags += [flag for flag in OPTIONAL_FLAGS[command] if draw(st.booleans())]
     fault = draw(st.sampled_from([None, None, None, "value", "drop", "conflict", "unknown", "command"]))
     target = None
-    if fault in ("value", "drop") and (candidates := [f for f in flags if f != "--restarts"]):
-        target = draw(st.sampled_from(candidates))
+    if fault in ("value", "drop") and flags:
+        target = draw(st.sampled_from(flags))
     argv = ["bogus" if fault == "command" else command]
     for flag in flags:
         if flag == target and fault == "drop":
