@@ -18,7 +18,7 @@ import numpy as np
 
 from .cones import ConeReport, cone_residuals
 from .family import DECISION_TOL, WitnessParams, _require_tol
-from .linalg import _psd_proved_checked, _require_hermitian, hermitian_eig, partial_transpose
+from .linalg import _psd_proved_checked, hermitian_eig, partial_transpose
 from .maps import Witness, _circulant, _ii_operator
 
 __all__ = [
@@ -552,9 +552,7 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
     products of the running factors with the realigned witness, whose row
     (k, l) and column (i, j) hold <ik|W|jl>, in one stacked matmul, and
     takes a stacked eigh. Raises ValueError unless restarts and seed are
-    integers (`operator.index` accepts them), restarts >= 1, seed >= 0
-    and the operator is n^2 x n^2, finite and Hermitian within
-    HERMITIAN_TOL.
+    integers (`operator.index` accepts them), restarts >= 1 and seed >= 0.
     """
     for name, value in (("restarts", restarts), ("seed", seed)):
         try:
@@ -569,13 +567,7 @@ def block_positivity_min(w: Witness, restarts: int = 64, seed: int = 0) -> float
     if seed < 0:
         # numpy's own message names neither the seed nor its value
         raise ValueError(f"seed must be non-negative, got {seed}")
-    n = w.n
-    if w.operator.shape != (n * n, n * n):
-        # numpy's reshape error names neither the witness nor n
-        raise ValueError(f"witness operator must have shape {(n * n, n * n)} for n = {n}, got {w.operator.shape}")
-    # a NaN would fail deep in LAPACK, and eigh would read a non-Hermitian
-    # operator's lower triangle alone
-    op = _require_hermitian(w.operator)
+    n, op = w.n, w.operator
     structure = _phi_structure(op, n)
     if structure is not None:
         return _lattice_floor(*structure)[0]

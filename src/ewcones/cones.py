@@ -8,6 +8,7 @@ decomposable members and form two straight generator lines on each cone.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +164,11 @@ def sample_cloud(cone: str, resolution: int) -> np.ndarray:
     resolution 2 gives exactly the vertex plus the two base points.
     """
     _require_cone(cone)
+    try:
+        operator.index(resolution)
+    except TypeError:
+        # numpy's linspace message names neither the argument nor its value
+        raise ValueError(f"resolution must be an integer, got {resolution!r}") from None
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     vertex = VERTEX_ONE if cone == "I" else VERTEX_TWO

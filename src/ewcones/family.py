@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errata import ERRATA
-from .maps import Witness, _circulant, _ii_operator, _require_finite_angles
+from .maps import Witness, _circulant, _ii_operator, _require_finite_angles, _require_parity
 
 __all__ = [
     "N3Params",
@@ -103,8 +103,7 @@ def abcd_from_euler(
     as negating the block negates every block contraction; the sign s carries
     that reflection term by term, so both parities share one formula.
     """
-    if parity not in ("proper", "improper"):
-        raise ValueError(f"parity must be 'proper' or 'improper', got {parity!r}")
+    _require_parity(parity)
     _require_finite_angles(alpha, beta, gamma)
     s = 1.0 if parity == "proper" else -1.0
     sa, ca = math.sin(alpha), math.cos(alpha)
@@ -226,7 +225,7 @@ def params_from_witness(w: Witness) -> WitnessParams:
     witness actually has the circulant block structure within CIRCULANT_TOL.
     """
     op = w.operator
-    if w.n != 4 or op.shape != (16, 16):
+    if w.n != 4:
         raise ValueError(f"expected n=4 and a 16 x 16 operator, got n={w.n} and shape {op.shape}")
     vals = op.diagonal().real[_CYCLIC_DIAGONALS].mean(axis=0)
     params = WitnessParams(*map(float, vals), provenance={"kind": "extracted"})

@@ -41,7 +41,7 @@ def _require_square_finite(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -49,7 +49,7 @@ def _require_square_finite(m: np.ndarray) -> np.ndarray:
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
     """m as a complex array, if square, finite and Hermitian within HERMITIAN_TOL."""
     a = _require_square_finite(m)
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
     if dev > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e}")
     return a

@@ -10,12 +10,14 @@ the stochastic matrix to its circulant average.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 from .gellmann import GellMannBasis, build_basis, diag_expectations, expand
+from .linalg import _require_hermitian
 
 __all__ = [
     "KossakowskiMap",
@@ -39,6 +41,11 @@ def _require_finite_angles(*angles: float) -> None:
     # checked before any trigonometry, which would only warn and return NaN
     if not all(map(math.isfinite, angles)):
         raise ValueError(f"Euler angles must be finite, got {[float(x) for x in angles]}")
+
+
+def _require_parity(parity: str) -> None:
+    if parity not in ("proper", "improper"):
+        raise ValueError(f"parity must be 'proper' or 'improper', got {parity!r}")
 
 
 def euler_rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -99,8 +106,7 @@ def embedding_from_euler(
     parity: str = "proper",
 ) -> OrthogonalEmbedding:
     """Embedding of M_4(C) whose block is the Euler rotation, negated when improper."""
-    if parity not in ("proper", "improper"):
-        raise ValueError(f"parity must be 'proper' or 'improper', got {parity!r}")
+    _require_parity(parity)
     block = euler_rotation(alpha, beta, gamma)
     if parity == "improper":
         block = -block
@@ -164,8 +170,11 @@ def phi_matrix(emb: OrthogonalEmbedding) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """Block-structured witness operator on C^n x C^n.
+    """Block-structured witness operator on C^n x C^n, valid by construction.
 
+    Construction raises ValueError unless n is an integer (`operator.index`
+    accepts it) of at least 1 and the operator is n^2 x n^2, finite and
+    Hermitian within `linalg.HERMITIAN_TOL`, so no consumer checks it again.
     The operator is stored as a complex ndarray. One given as such is kept
     as it is, so `family.witness_from_params` can hand out a writable copy;
     anything else, such as a nested list or a real array, is converted once
@@ -176,7 +185,19 @@ class Witness:
     operator: np.ndarray
 
     def __post_init__(self):
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {self.n!r}") from None
+        if n < 1:
+            # n = 0 would pass the shape test with an empty operator, -1 with a 1 x 1 one
+            raise ValueError(f"n must be at least 1, got {n}")
         op = np.asarray(self.operator, dtype=complex)
+        if op.shape != (n * n, n * n):
+            raise ValueError(f"witness operator must have shape {(n * n, n * n)} for n = {n}, got {op.shape}")
+        # a NaN would fail deep in LAPACK or pass through a trace, and eigh
+        # would read a non-Hermitian operator's lower triangle alone
+        _require_hermitian(op)
         if op is not self.operator:
             op.flags.writeable = False
             object.__setattr__(self, "operator", op)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .certify import EVIDENCE_TOL
 from .family import WitnessParams
-from .linalg import _require_hermitian, partial_transpose, psd_proved
+from .linalg import partial_transpose, psd_proved
 from .maps import Witness, _circulant, _ii_operator
 
 __all__ = [
@@ -48,7 +48,7 @@ def critical_p(w: Witness) -> float:
     ValueError unless Tr W > 0.
     """
     dim = w.operator.shape[0]
-    low = np.linalg.eigvalsh(_require_hermitian(w.operator))[0] / _positive_trace(w)
+    low = np.linalg.eigvalsh(w.operator)[0] / _positive_trace(w)
     if low >= 0:
         return 0.0
     return float(-low / (1.0 / dim - low))

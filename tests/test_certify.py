@@ -392,6 +392,15 @@ def test_detect_validation():
         detect(w, bad)
     with pytest.raises(ValueError, match="eigenvalue"):
         detect(w, np.diag([1.0] * 15 + [-1.0]))
+    # a witness with a NaN used to detect nan, and a skewed one 0.75
+    nan = w.operator.copy()
+    nan[3, 5] = np.nan
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        detect(Witness(n=4, operator=nan), np.eye(16) / 16.0)
+    skew = w.operator.copy()
+    skew[0, 5] += 1e-8
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian: max \|m - m\^dagger\| = 1\.000e-08$"):
+        detect(Witness(n=4, operator=skew), np.eye(16) / 16.0)
     # its squared Frobenius norm overflows; the eigenvalue -1e200 is still found
     huge = np.zeros((16, 16))
     huge[0, 1] = huge[1, 0] = 1e200

@@ -124,6 +124,9 @@ def test_sample_cloud_shapes_and_residuals():
 def test_sample_cloud_rejects_tiny_resolution():
     with pytest.raises(ValueError):
         sample_cloud("I", 1)
+    # numpy's linspace used to raise a TypeError naming neither the argument nor its value
+    with pytest.raises(ValueError, match=r"^resolution must be an integer, got 2\.5$"):
+        sample_cloud("I", 2.5)
 
 
 def test_bd_curve_on_cone_with_equal_bd():

@@ -131,12 +131,26 @@ def test_params_from_witness_reads_a_nested_list_operator():
 
 def test_params_from_witness_checks_n_shape_and_circulance():
     op = witness_from_params(WitnessParams(1.5, 0.5, 0.5, 0.5)).operator
-    for n, bad in ((4, np.eye(9)), (4, op[:, :15]), (3, op)):
-        with pytest.raises(ValueError, match="^expected n=4 and a 16 x 16 operator"):
+    # a mis-shaped operator is no Witness at all
+    for n, bad, shapes in (
+        (4, np.eye(9), r"\(16, 16\) for n = 4, got \(9, 9\)"),
+        (4, op[:, :15], r"\(16, 16\) for n = 4, got \(16, 15\)"),
+        (3, op, r"\(9, 9\) for n = 3, got \(16, 16\)"),
+    ):
+        with pytest.raises(ValueError, match=rf"^witness operator must have shape {shapes}$"):
             params_from_witness(Witness(n=n, operator=bad))
+    with pytest.raises(ValueError, match=r"^expected n=4 and a 16 x 16 operator, got n=3 and shape \(9, 9\)$"):
+        params_from_witness(Witness(n=3, operator=np.eye(9)))
+    # a NaN deviation compares False against CIRCULANT_TOL, so this used to
+    # return parameters; the Witness now rejects it
+    nan = op.copy()
+    nan[3, 5] = np.nan
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        params_from_witness(Witness(n=4, operator=nan))
     # the cyclic diagonal averages stay valid parameters, so the circulance
-    # check decides: an off-diagonal entry, and two places of a that cancel
-    for rows, cols, shifts in (([0], [5], [0.5]), ([0, 5], [0, 5], [0.1, -0.1])):
+    # check decides: an off-diagonal entry and its mirror (a Witness is
+    # Hermitian), and two places of a that cancel
+    for rows, cols, shifts in (([0, 5], [5, 0], [0.5, 0.5]), ([0, 5], [0, 5], [0.1, -0.1])):
         bad = op.copy()
         bad[rows, cols] += shifts
         with pytest.raises(ValueError, match="^witness is not circulant"):

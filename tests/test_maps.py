@@ -175,6 +175,9 @@ def test_twirl_is_projection():
     assert np.trace(t1.operator).real == pytest.approx(12.0)
     with pytest.raises(TypeError):
         twirl(w, maps._weyl_vectors(4))
+    # used to fail in twirl's matmul, with numpy's message
+    with pytest.raises(ValueError, match=r"^witness operator must have shape \(16, 16\) for n = 4, got \(9, 9\)$"):
+        twirl(maps.Witness(n=4, operator=np.eye(9)))
 
 
 def test_max_entangled_projector():
@@ -195,3 +198,11 @@ def test_witness_converts_its_operator_once():
         assert stored.dtype == complex and not stored.flags.writeable
         assert stored.tobytes() == real.astype(complex).tobytes()
     assert real.flags.writeable and real.dtype == float
+    # n = -1 used to pass the n^2 shape test with a 1 x 1 operator
+    for n, given, message in (
+        (-1, [[0.7]], "^n must be at least 1, got -1$"),
+        (0, np.zeros((0, 0)), "^n must be at least 1, got 0$"),
+        (2.0, real, "^n must be an integer, got 2.0$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            maps.Witness(n=n, operator=given)

@@ -566,10 +566,11 @@ def test_non_hermitian_operator_is_named_in_the_error():
 
 
 def test_operator_shape_must_match_n():
-    # numpy used to fail with "cannot reshape array of size 256"
-    w = Witness(n=3, operator=WitnessParams(1.0, 0.75, 0.5, 0.75).witness.operator)
+    # the see-saw's reshape used to fail with numpy's "cannot reshape array of
+    # size 256"; the Witness now rejects the operator when it is made
+    op = WitnessParams(1.0, 0.75, 0.5, 0.75).witness.operator
     with pytest.raises(ValueError, match=r"^witness operator must have shape \(9, 9\) for n = 3, got \(16, 16\)$"):
-        block_positivity_min(w, restarts=2, seed=0)
+        Witness(n=3, operator=op)
 
 
 @pytest.mark.parametrize("x", [0.7, -2.5, 0.0])

@@ -74,8 +74,11 @@ def test_critical_p_keeps_its_input_checks():
     with pytest.raises(ValueError) as exc:
         critical_p(Witness(n=4, operator=skew))
     assert str(exc.value) == "matrix is not Hermitian: max |m - m^dagger| = 1.000e-08"
-    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(16, 15\)$"):
+    with pytest.raises(ValueError, match=r"^witness operator must have shape \(16, 16\) for n = 4, got \(16, 15\)$"):
         critical_p(Witness(n=4, operator=op[:, :15]))
+    # a 16 x 16 operator for n = 3 used to read as a witness, with p* = 0.727
+    with pytest.raises(ValueError, match=r"^witness operator must have shape \(9, 9\) for n = 3, got \(16, 16\)$"):
+        critical_p(Witness(n=3, operator=op))
 
 
 def test_critical_p_is_exactly_zero_on_psd_operators():
