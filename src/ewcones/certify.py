@@ -89,7 +89,9 @@ def probe_state(epsilon: float) -> PptProbe:
 
 
 def pairing(w: Witness, probe: PptProbe) -> float:
-    """Trace pairing of the witness with the probe state."""
+    """Trace pairing of the witness with the probe state, which lives on C^4 x C^4."""
+    if w.n != 4:
+        raise ValueError(f"expected n=4 to pair with a probe state, got n={w.n}")
     return float(np.trace(w.operator @ probe.state).real)
 
 

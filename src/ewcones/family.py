@@ -65,15 +65,10 @@ class WitnessParams:
         if self.provenance is not None:
             object.__setattr__(self, "provenance", tuple(dict(self.provenance).items()))
 
-    def __getstate__(self):
-        # pickle and deepcopy would copy the witness writable; a copy rebuilds it on first use
-        return {k: v for k, v in vars(self).items() if k != "witness"}
-
     @cached_property
     def witness(self) -> Witness:
         """The member's circulant witness, the only place the family assembles one."""
         op = _ii_operator(_circulant(self.as_array()).ravel(), _circulant([self.a, -1.0, -1.0, -1.0]))
-        op.flags.writeable = False
         return Witness(n=4, operator=op)
 
     def as_array(self) -> np.ndarray:
@@ -208,8 +203,8 @@ def appendix_matrix(block: np.ndarray, corrected: bool = True) -> np.ndarray:
 
 
 def witness_from_params(params: WitnessParams) -> Witness:
-    """A fresh, writable copy of `params.witness`, the member's shared read-only witness."""
-    return Witness(n=4, operator=params.witness.operator.copy())
+    """The member's own witness, `params.witness`, shared and read-only like every `Witness`."""
+    return params.witness
 
 
 # entry (i, s) indexes the ket |i, i+s mod 4>, so column s holds the four

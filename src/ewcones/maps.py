@@ -173,12 +173,11 @@ class Witness:
     """Block-structured witness operator on C^n x C^n, valid by construction.
 
     Construction raises ValueError unless n is an integer (`operator.index`
-    accepts it) of at least 1 and the operator is n^2 x n^2, finite and
-    Hermitian within `linalg.HERMITIAN_TOL`, so no consumer checks it again.
-    The operator is stored as a complex ndarray. One given as such is kept
-    as it is, so `family.witness_from_params` can hand out a writable copy;
-    anything else, such as a nested list or a real array, is converted once
-    into a read-only complex array.
+    accepts it) of at least 1 and the operator converts to an n^2 x n^2
+    complex array that is finite and Hermitian within `linalg.HERMITIAN_TOL`,
+    so no consumer checks it again. The witness keeps its own read-only copy,
+    so no later write, to the caller's array or through `operator`, can undo
+    the check; copies and pickles are rebuilt through the constructor.
     """
 
     n: int
@@ -192,15 +191,20 @@ class Witness:
         if n < 1:
             # n = 0 would pass the shape test with an empty operator, -1 with a 1 x 1 one
             raise ValueError(f"n must be at least 1, got {n}")
-        op = np.asarray(self.operator, dtype=complex)
+        try:
+            op = np.array(self.operator, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"witness operator must be an array of numbers: {exc}") from exc
         if op.shape != (n * n, n * n):
             raise ValueError(f"witness operator must have shape {(n * n, n * n)} for n = {n}, got {op.shape}")
         # a NaN would fail deep in LAPACK or pass through a trace, and eigh
         # would read a non-Hermitian operator's lower triangle alone
         _require_hermitian(op)
-        if op is not self.operator:
-            op.flags.writeable = False
-            object.__setattr__(self, "operator", op)
+        op.flags.writeable = False
+        object.__setattr__(self, "operator", op)
+
+    def __reduce__(self):
+        return type(self), (self.n, self.operator)
 
     def trace(self) -> float:
         return float(np.trace(self.operator).real)

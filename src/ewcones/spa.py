@@ -6,6 +6,7 @@ constructively by a split into 2 x 2 supported blocks plus a diagonal rest.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -13,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .certify import EVIDENCE_TOL
-from .family import WitnessParams
+from .family import PARAM_NEG_TOL, WitnessParams
 from .linalg import partial_transpose, psd_proved
 from .maps import Witness, _circulant, _ii_operator
 
@@ -55,7 +56,13 @@ def critical_p(w: Witness) -> float:
 
 
 def critical_p_from_a(a: float) -> float:
-    """Closed form of the critical mixing parameter on the circulant family."""
+    """Closed form of the critical mixing parameter on the circulant family.
+
+    Raises ValueError unless a is finite and lies in [0, 3] within
+    `family.PARAM_NEG_TOL`, the range every family member's a keeps.
+    """
+    if not (math.isfinite(a) and -PARAM_NEG_TOL <= a <= 3.0 + PARAM_NEG_TOL):
+        raise ValueError(f"parameter a must be finite and lie in [0, 3], got {a}")
     return 4.0 * (3.0 - a) / (15.0 - 4.0 * a)
 
 

@@ -412,7 +412,7 @@ def test_params_from_witness_matches_list_comprehension():
     ops += [witness_from_params(sp.params).operator for sp in special_points()]
     # a = 0 puts zeros on the |ii> diagonal; sign some of them
     for signs in ((-0.0, -0.0, -0.0, -0.0), (-0.0, 0.0, -0.0, 0.0)):
-        op = witness_from_params(WitnessParams(0.0, 1.0, 1.0, 1.0)).operator
+        op = witness_from_params(WitnessParams(0.0, 1.0, 1.0, 1.0)).operator.copy()
         op[np.arange(0, 16, 5), np.arange(0, 16, 5)] = [complex(z, z) for z in signs]
         ops.append(op)
     for op in ops:

@@ -66,6 +66,12 @@ def test_pairing_closed_form():
             assert pairing(w, probe_state(eps)) == pytest.approx(expected, abs=1e-10)
 
 
+def test_pairing_needs_n_4():
+    # used to fail in numpy's matmul, with a "mismatch in its core dimension"
+    with pytest.raises(ValueError, match="^expected n=4 to pair with a probe state, got n=3$"):
+        pairing(Witness(n=3, operator=np.eye(9)), probe_state(1.0))
+
+
 def test_certify_special_point_one():
     cert = certify_decomposability(WitnessParams(1.0, 1.0, 1.0, 0.0))
     assert cert.verdict == "indecomposable"

@@ -1,8 +1,14 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ewcones import maps
+from ewcones.certify import block_positivity_min, detect
+from ewcones.family import WitnessParams, abcd_from_euler, witness_from_params
 from ewcones.gellmann import build_basis
 from ewcones.maps import (
     build_witness,
@@ -15,6 +21,7 @@ from ewcones.maps import (
     phi_matrix,
     twirl,
 )
+from ewcones.spa import critical_p
 
 
 def random_angles(rng):
@@ -188,21 +195,90 @@ def test_max_entangled_projector():
 
 
 def test_witness_converts_its_operator_once():
-    # a complex ndarray is kept as given; anything else becomes a fresh,
+    # every input, a complex ndarray included, becomes the witness's own
     # read-only complex array, leaving the caller's object as it was
     op = max_entangled_projector(2)
-    assert maps.Witness(n=2, operator=op).operator is op and op.flags.writeable
     real = np.eye(4)
-    for given in (real, real.tolist()):
+    for given in (op, real, real.tolist()):
         stored = maps.Witness(n=2, operator=given).operator
         assert stored.dtype == complex and not stored.flags.writeable
-        assert stored.tobytes() == real.astype(complex).tobytes()
-    assert real.flags.writeable and real.dtype == float
+        assert not np.shares_memory(stored, given)
+        assert stored.tobytes() == np.asarray(given, dtype=complex).tobytes()
+    assert op.flags.writeable and real.flags.writeable and real.dtype == float
+    not_numbers = "^witness operator must be an array of numbers: "
     # n = -1 used to pass the n^2 shape test with a 1 x 1 operator
     for n, given, message in (
         (-1, [[0.7]], "^n must be at least 1, got -1$"),
         (0, np.zeros((0, 0)), "^n must be at least 1, got 0$"),
         (2.0, real, "^n must be an integer, got 2.0$"),
+        # numpy's own messages named neither the witness nor its operator
+        (2, [[1, 2], [3]], not_numbers),
+        (1, "abc", not_numbers),
+        (2, [[1, 0, 0, 0], [0, "x", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], not_numbers),
+        (2, [[1, 0, 0, 0], [0, {}, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], not_numbers),
     ):
         with pytest.raises(ValueError, match=message):
             maps.Witness(n=n, operator=given)
+
+
+def construction_routes():
+    """(route, witness, inputs whose memory the witness must not share)."""
+    member = abcd_from_euler(0.3, 0.9, 2.1)
+    op = member.witness.operator.copy()
+    real = op.real.copy()
+    w = maps.Witness(n=4, operator=op)
+    built = build_witness(embedding_from_euler(1.2, 2.5, 0.4))
+    yield "complex ndarray", w, [op]
+    yield "real ndarray", maps.Witness(n=4, operator=real), [real]
+    yield "nested list", maps.Witness(n=4, operator=op.tolist()), []
+    yield "build_witness", built, []
+    yield "twirl", twirl(built), [built.operator]
+    yield "choi_witness", choi_witness(map_from_embedding(embedding_from_euler(1.2, 2.5, 0.4))), []
+    yield "params.witness", member.witness, []
+    yield "witness_from_params", witness_from_params(member), []
+    yield "dataclasses.replace", dataclasses.replace(w), [w.operator, op]
+    yield "copy.copy", copy.copy(w), [w.operator, op]
+    yield "copy.deepcopy", copy.deepcopy(w), [w.operator, op]
+    yield "pickle", pickle.loads(pickle.dumps(w)), [w.operator, op]
+
+
+def test_every_construction_route_gives_an_own_read_only_complex_operator():
+    for route, w, inputs in construction_routes():
+        stored = w.operator
+        assert stored.dtype == complex and stored.shape == (16, 16), route
+        assert not stored.flags.writeable and stored.flags.owndata, route
+        for given in inputs:
+            assert not np.shares_memory(stored, given), route
+    # the copies are rebuilt through the constructor, so they carry the same values
+    w = maps.Witness(n=4, operator=abcd_from_euler(0.3, 0.9, 2.1).witness.operator)
+    for back in (dataclasses.replace(w), copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert type(back) is maps.Witness and back.n == 4
+        assert back.operator.tobytes() == w.operator.tobytes()
+
+
+def test_writes_into_the_witness_operator_raise():
+    # the member's witness that `witness_from_params` hands out used to be writable
+    for route, w, _ in construction_routes():
+        kept = w.operator.tobytes()
+        for index, value in (((0, 0), np.nan), ((0, 5), 3.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                w.operator[index] = value
+        assert w.operator.tobytes() == kept, route
+
+
+@pytest.mark.parametrize("index, value", [((0, 0), np.nan), ((0, 5), 3.0)])
+def test_writes_into_the_callers_array_do_not_reach_the_witness(index, value):
+    # a complex ndarray used to be kept as given, so a NaN made detect return
+    # nan and LAPACK fail, and a one-sided 3.0 read as a witness with p* = 0.727
+    op = WitnessParams(1.0, 1.0, 1.0, 0.0).witness.operator.copy()
+    w = maps.Witness(n=4, operator=op)
+    kept = w.operator.tobytes()
+    rho = np.eye(16) / 16
+
+    def values():
+        return detect(w, rho), critical_p(w), block_positivity_min(w)
+
+    before = values()
+    op[index] = value
+    assert w.operator.tobytes() == kept
+    assert values() == before

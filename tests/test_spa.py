@@ -43,6 +43,17 @@ def test_critical_p_frozen_values():
     assert critical_p_from_a(1.0) == pytest.approx(8.0 / 11.0)
 
 
+def test_critical_p_from_a_needs_a_family_a():
+    # 3.75 divided by zero, NaN came back as NaN and -5.0 read as 0.914
+    for a in (3.75, -5.0, np.nan, np.inf, 3.0 + 1e-9, -1e-9):
+        with pytest.raises(ValueError, match=r"^parameter a must be finite and lie in \[0, 3\], got "):
+            critical_p_from_a(a)
+    # the family's own tolerance on a still passes
+    assert critical_p_from_a(3.0) == 0.0
+    assert critical_p_from_a(3.0 + 1e-11) == pytest.approx(0.0, abs=1e-10)
+    assert critical_p_from_a(-1e-11) == pytest.approx(0.8)
+
+
 def test_critical_p_matches_closed_form():
     rng = np.random.default_rng(40)
     for _ in range(10):
