@@ -18,7 +18,7 @@ import numpy as np
 
 from .cones import ConeReport, cone_residuals
 from .family import DECISION_TOL, WitnessParams, _require_tol
-from .linalg import _psd_proved_checked, hermitian_eig, partial_transpose
+from .linalg import _largest_part, _psd_proved_checked, hermitian_eig, partial_transpose
 from .maps import Witness, _circulant, _ii_operator
 
 __all__ = [
@@ -92,6 +92,8 @@ def pairing(w: Witness, probe: PptProbe) -> float:
     """Trace pairing of the witness with the probe state, which lives on C^4 x C^4."""
     if w.n != 4:
         raise ValueError(f"expected n=4 to pair with a probe state, got n={w.n}")
+    # the diagonal of W rho, not detect's one dot product: near b = d the
+    # terms cancel, so another summation order moves the value far past its last ulp
     return float(np.trace(w.operator @ probe.state).real)
 
 
@@ -612,21 +614,23 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
     A negative value certifies entanglement of rho; when rho is PPT it
     certifies PPT entanglement. The state is accepted when a shifted Cholesky
     proves that its Hermitian part has no eigenvalue below -tol
-    (`psd_proved`, handed the skew max|rho - rho^dagger| <= tol measured by
-    the Hermitian check). Only when that proof fails does the Jacobi spectrum
-    decide, and a rejection quotes its lowest eigenvalue. Raises ValueError
-    unless tol is finite and non-negative.
+    (`psd_proved`, handed what the checks measured: the largest |re| or |im|
+    of rho, which is finite only when every entry is, and the skew
+    max|rho - rho^dagger| <= tol). Only when that proof fails does the Jacobi
+    spectrum decide, and a rejection quotes its lowest eigenvalue. Raises
+    ValueError unless tol is finite and non-negative.
     """
     _require_tol(tol)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != w.operator.shape:
         raise ValueError(f"expected shape {w.operator.shape}, got {rho.shape}")
-    if not np.isfinite(rho).all():
+    largest = _largest_part(rho)
+    if not math.isfinite(largest):
         raise ValueError("state entries must be finite")
-    skew = float(np.max(np.abs(rho - rho.conj().T)))
+    skew = float(np.abs(rho - rho.conj().T).max())
     if not skew <= tol:
         raise ValueError("state is not Hermitian")
-    if not _psd_proved_checked(rho, skew, tol):
+    if not _psd_proved_checked(rho, largest, skew, tol):
         # the Hermitian part: the solver's own, tighter check must not reject
         # a skew that tol accepted. Written as rho plus half the skew, it
         # equals rho exactly when rho is exactly Hermitian and moves each
@@ -635,4 +639,5 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
         low = hermitian_eig(rho + (rho.conj().T - rho) / 2).values[0]
         if low < -tol:
             raise ValueError(f"state is not positive semidefinite: eigenvalue {low:.6e}")
-    return float(np.trace(w.operator @ rho).real)
+    # Tr(W rho) = sum_ij W_ji rho_ij, one dot product that never forms W rho
+    return float(np.vdot(w.operator.conj().T, rho).real)

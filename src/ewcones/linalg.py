@@ -3,8 +3,9 @@
 `hermitian_eig` returns the spectrum, all a certificate reads, by Jacobi
 rotations. A yes/no positivity question needs none: `psd_proved` settles it
 by one shifted Cholesky factorization whose completion is a proof (Rump
-2006), written only in the lower triangle that numpy's `cholesky` reads
-(LAPACK UPLO='L'); its core takes the skew max|m - m^H| `detect` measured.
+2006), of the real embedding that one cached gather reads off m's lower
+triangle; its core takes the largest part and the skew max|m - m^H| that
+`detect` measured.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 _ETA = math.ulp(0.0)  # smallest subnormal
 # a pair coupled at or below this keeps the identity rotation, which cannot move the mass
 _NEGLIGIBLE = 1e-300
-_tri = cache(np.tri)  # triangle masks, shared by callers that only read them
 
 
 class EigenResult(NamedTuple):
@@ -37,34 +37,52 @@ class EigenResult(NamedTuple):
     values: np.ndarray
 
 
-def _require_square_finite(m: np.ndarray) -> np.ndarray:
+def _require_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _require_square_finite(m: np.ndarray) -> np.ndarray:
+    m = _require_square(m)
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
-    """m as a complex array, if square, finite and Hermitian within HERMITIAN_TOL."""
-    a = _require_square_finite(m)
-    dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-    if dev > HERMITIAN_TOL:
+    """m as a complex array, if square, finite and Hermitian within HERMITIAN_TOL.
+
+    One pass decides both: a non-finite entry makes the deviation NaN or
+    inf, so finiteness is looked at only to name a failure.
+    """
+    a = _require_square(m)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a finite overflow
+        dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    if not dev <= HERMITIAN_TOL:
+        _require_square_finite(a)
         raise ValueError(f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e}")
     return a
 
 
-def _scaled_to_unit(a: np.ndarray) -> tuple[np.ndarray, int]:
+def _largest_part(a: np.ndarray) -> float:
+    """The largest |re| or |im| of complex a; NaN or inf unless every entry is finite."""
+    parts = np.ascontiguousarray(a).view(float)
+    return float(np.abs(parts).max()) if parts.size else 0.0
+
+
+def _scaled_to_unit(a: np.ndarray, largest: float | None = None) -> tuple[np.ndarray, int]:
     """a times 2**-e, with e the power of two that puts its largest entry in [1/4, 1).
 
-    e comes from the largest real or imaginary part, as a modulus can overflow.
-    The scaled norm cannot overflow or underflow, and away from subnormals
-    every rounding step scales exactly with 2**e, so results scale back
-    exactly. Returns the scaled array and e.
+    e comes from the largest real or imaginary part, `_largest_part(a)`
+    unless the caller measured it, as a modulus can overflow. The scaled
+    norm cannot overflow or underflow, and away from subnormals every
+    rounding step scales exactly with 2**e, so results scale back exactly.
+    Returns the scaled array and e.
     """
     parts = np.ascontiguousarray(a).view(float)
-    exponent = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1] + 1
+    exponent = math.frexp(_largest_part(a) if largest is None else largest)[1] + 1
     return np.ldexp(parts, -exponent).view(complex), exponent
 
 
@@ -258,17 +276,31 @@ def hermitian_eig(m: np.ndarray) -> EigenResult:
     return EigenResult(np.sort(values, kind="stable"))
 
 
+@cache
+def _embedding_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only offsets into the float view of an n x n complex array, and signs.
+
+    Gathered and signed, they give [[X, -Y], [Y, X]] for the Hermitian X + iY
+    that shares the array's lower triangle: entry (i, j) of X or Y reads
+    entry (max(i, j), min(i, j)), and Y takes the sign of i - j.
+    """
+    i, j = np.indices((n, n))
+    real = 2 * (np.maximum(i, j) * n + np.minimum(i, j))
+    imag = real + 1
+    sign = np.sign(i - j).astype(float)
+    ones = np.ones((n, n))
+    index = np.block([[real, imag], [imag, real]])
+    signs = np.block([[ones, -sign], [sign, ones]])
+    index.flags.writeable = signs.flags.writeable = False
+    return index, signs
+
+
 def _real_embedding(a: np.ndarray) -> np.ndarray:
-    """The lower triangle of [[X, -Y], [Y, X]], for the Hermitian X + iY that
-    shares a's lower triangle; the rest is unset. Parts are taken as x + 0.0,
-    which makes -0.0 into +0.0 as forming X + iY does."""
-    n = a.shape[0]
-    e = np.empty((2 * n, 2 * n))
-    e[:n, :n] = e[n:, n:] = a.real + 0.0
-    y = np.zeros((n, n))
-    np.add(a.imag, 0.0, out=y, where=_tri(n, k=-1, dtype=bool))
-    np.subtract(y, y.T, out=e[n:, :n])
-    return e
+    """The symmetric [[X, -Y], [Y, X]] for the Hermitian X + iY that shares a's
+    lower triangle, in one gather. Parts are taken as x + 0.0, which makes
+    -0.0 into +0.0 as forming X + iY does."""
+    index, signs = _embedding_gather(a.shape[0])
+    return np.ascontiguousarray(a, dtype=complex).view(float).take(index) * signs + 0.0
 
 
 def _scaled_up(x: float, exponent: int) -> float:
@@ -277,9 +309,10 @@ def _scaled_up(x: float, exponent: int) -> float:
     return math.nextafter(y, math.inf) if math.ldexp(y, exponent) < x else y
 
 
-def _psd_proved_checked(a: np.ndarray, skew: float | None, tol: float) -> bool:
-    """`psd_proved` of a checked a, given its skew max|a - a^H| or None to measure it scaled."""
-    a, exponent = _scaled_to_unit(a)
+def _psd_proved_checked(a: np.ndarray, largest: float | None, skew: float | None, tol: float) -> bool:
+    """`psd_proved` of a checked a, given its largest part (`_largest_part`) and
+    its skew max|a - a^H|, each None to measure it, the skew on the scaled a."""
+    a, exponent = _scaled_to_unit(a, largest)
     n = a.shape[0]
     size = 2 * n
     e = _real_embedding(a)
@@ -328,10 +361,11 @@ def psd_proved(m: np.ndarray, tol: float) -> bool:
     k = N + 1; k = N + 2 allows the extra rounding of a reciprocal.
 
     Hermitian m = X + iY is embedded as the real symmetric [[X, -Y], [Y, X]],
-    whose spectrum is that of m, doubled. The embedding reads the lower
-    triangle of m, and only its own lower triangle is written, as numpy's
-    `cholesky` reads no other (LAPACK potrf, UPLO='L'). m and tol are first
-    scaled by the power of two that `hermitian_eig` uses. The constant is
+    whose spectrum is that of m, doubled. The embedding reads only the lower
+    triangle of m, and is gathered whole and symmetric, through a table
+    cached per order, so it holds whichever triangle numpy's `cholesky`
+    reads (LAPACK potrf, UPLO='L'). m and tol are first scaled by the power
+    of two that `hermitian_eig` uses. The constant is
 
         c = 2 (gamma_k / (1 - gamma_k) (sum |a_ii| + N tol) + n max|m - m^H|
                + (2 N^2 + N + 1) eta)
@@ -344,7 +378,7 @@ def psd_proved(m: np.ndarray, tol: float) -> bool:
     absorbs the rounding of the shift on the diagonal and of evaluating c
     and tol - c, each a small fraction of the first term.
     """
-    return _psd_proved_checked(_require_square_finite(m), None, tol)
+    return _psd_proved_checked(_require_square_finite(m), None, None, tol)
 
 
 def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 ORTHOGONALITY_TOL = 1e-12
+_identity = cache(np.eye)  # shared by callers that only read it
 
 
 def _require_finite_angles(*angles: float) -> None:
@@ -63,17 +64,59 @@ def euler_rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
     )
 
 
+def _require_dimension(n) -> int:
+    """n as a plain int, if `operator.index` accepts it and it is not a bool."""
+    if not isinstance(n, bool):
+        try:
+            return int(operator.index(n))
+        except TypeError:
+            pass
+    raise ValueError(f"n must be an integer, got {n!r}")
+
+
+def _block_parity(block: np.ndarray) -> str:
+    """The parity of a float block, once it is checked to be non-empty, square, finite and orthogonal."""
+    if block.ndim != 2 or block.shape[0] != block.shape[1] or block.size == 0:
+        raise ValueError(f"expected a non-empty square block, got shape {block.shape}")
+    # checked first: NaN passes the orthogonality test and its det reads as improper
+    if not np.isfinite(block).all():
+        raise ValueError("block entries must be finite")
+    dev = float(np.abs(np.dot(block.T, block) - _identity(len(block))).max())
+    if dev > ORTHOGONALITY_TOL:
+        raise ValueError(f"block is not orthogonal: max |B^T B - I| = {dev:.3e}")
+    return "proper" if np.linalg.det(block) > 0 else "improper"
+
+
 @dataclass(frozen=True, eq=False)
 class OrthogonalEmbedding:
     """Small orthogonal block on the diagonal sector, minus identity elsewhere.
 
-    block is an (n-1) x (n-1) orthogonal matrix; parity is "proper" or
-    "improper" according to its determinant.
+    Valid by construction: raises ValueError unless block is a non-empty,
+    finite (n-1) x (n-1) matrix, orthogonal within ORTHOGONALITY_TOL, and
+    parity is "proper" or "improper" as its determinant is positive or
+    negative. n is kept as a plain int and block as a read-only float copy;
+    copies and pickles are rebuilt through the constructor.
     """
 
     n: int
     block: np.ndarray
     parity: str
+
+    def __post_init__(self):
+        n = _require_dimension(self.n)
+        _require_parity(self.parity)
+        block = np.array(self.block, dtype=float)
+        parity = _block_parity(block)
+        if n != len(block) + 1:
+            raise ValueError(f"a block of order {len(block)} needs n = {len(block) + 1}, got n = {n}")
+        if parity != self.parity:
+            raise ValueError(f"parity is {self.parity!r}, but the block's determinant makes it {parity!r}")
+        block.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "block", block)
+
+    def __reduce__(self):
+        return type(self), (self.n, self.block, self.parity)
 
     def rotation(self) -> np.ndarray:
         """Full orthogonal matrix on the traceless sector, size n*n - 1."""
@@ -87,16 +130,8 @@ class OrthogonalEmbedding:
 def embedding_from_block(block: np.ndarray) -> OrthogonalEmbedding:
     """Wrap an orthogonal (n-1) x (n-1) block of M_n(C), inferring n and the parity."""
     block = np.asarray(block, dtype=float)
-    if block.ndim != 2 or block.shape[0] != block.shape[1] or block.size == 0:
-        raise ValueError(f"expected a non-empty square block, got shape {block.shape}")
-    # checked first: NaN passes the orthogonality test and its det reads as improper
-    if not np.isfinite(block).all():
-        raise ValueError("block entries must be finite")
-    dev = float(np.max(np.abs(block.T @ block - np.eye(len(block)))))
-    if dev > ORTHOGONALITY_TOL:
-        raise ValueError(f"block is not orthogonal: max |B^T B - I| = {dev:.3e}")
-    parity = "proper" if np.linalg.det(block) > 0 else "improper"
-    return OrthogonalEmbedding(n=len(block) + 1, block=block.copy(), parity=parity)
+    parity = _block_parity(block)
+    return OrthogonalEmbedding(n=len(block) + 1, block=block, parity=parity)
 
 
 def embedding_from_euler(
@@ -184,10 +219,7 @@ class Witness:
     operator: np.ndarray
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            raise ValueError(f"n must be an integer, got {self.n!r}") from None
+        n = _require_dimension(self.n)
         if n < 1:
             # n = 0 would pass the shape test with an empty operator, -1 with a 1 x 1 one
             raise ValueError(f"n must be at least 1, got {n}")
@@ -201,6 +233,7 @@ class Witness:
         # would read a non-Hermitian operator's lower triangle alone
         _require_hermitian(op)
         op.flags.writeable = False
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "operator", op)
 
     def __reduce__(self):

@@ -3,9 +3,10 @@
 `ref_psd_proved` is the former proof: it embeds the whole symmetric
 [[X, -Y], [Y, X]] and measures the skew on the scaled copy. `ref_detect` is
 the former `detect`: the entrywise Hermitian check, then that proof, then
-the Jacobi fallback. The rewrite measures the state's skew once and writes
-only the lower triangle of the embedding, so every outcome must agree bit for
-bit.
+the Jacobi fallback, then Tr(W rho) as the one dot product `detect` now
+reads (`test_certify.dot_trace`). The rewrite measures the state's
+largest part and skew once and gathers the embedding from a cached table, so
+every outcome must agree bit for bit.
 """
 import math
 
@@ -19,7 +20,7 @@ from ewcones.family import WitnessParams, witness_from_params
 from ewcones.linalg import hermitian_eig, psd_proved
 from ewcones.maps import max_entangled_projector
 from test_assembly import assert_bitwise, ref_real_embedding, with_signed_zeros
-from test_certify import outcome, seeded_states
+from test_certify import dot_trace, outcome, seeded_states
 from test_linalg import boundary_corpus, random_unitary, with_lowest_eigenvalue
 
 DETECT_MESSAGES = ("state entries must be finite", "state is not Hermitian", "state is not positive semidefinite")
@@ -62,7 +63,7 @@ def ref_detect(w, rho, tol=DECISION_TOL):
         low = hermitian_eig(rho + (rho.conj().T - rho) / 2).values[0]
         if low < -tol:
             raise ValueError(f"state is not positive semidefinite: eigenvalue {low:.6e}")
-    return float(np.trace(w.operator @ rho).real)
+    return dot_trace(w.operator, rho)
 
 
 def same_outcome(fn, ref, *args):
@@ -212,7 +213,7 @@ def test_detect_accepts_only_states_eigvalsh_confirms(seed, offset, skew_share, 
     if isinstance(got, str):
         assert got.startswith(DETECT_MESSAGES), got
         return
-    assert repr(got) == repr(float(np.trace(w.operator @ rho).real))
+    assert repr(got) == repr(dot_trace(w.operator, rho))
     h = (rho + rho.conj().T) / 2
     # LAPACK's eigvalsh is backward stable: its error is at most p(n) u ||h||_2;
     # n^2 u ||h||_F is a generous form of that bound for n = 16

@@ -348,6 +348,41 @@ def with_signed_zeros(rng, shape, dtype):
     return m
 
 
+def former_real_embedding(a):
+    """The embedding as seven array operations, before the gather; its upper triangle was unset."""
+    n = a.shape[0]
+    e = np.full((2 * n, 2 * n), np.nan)
+    e[:n, :n] = e[n:, n:] = a.real + 0.0
+    y = np.zeros((n, n))
+    np.add(a.imag, 0.0, out=y, where=np.tri(n, k=-1, dtype=bool))
+    np.subtract(y, y.T, out=e[n:, :n])
+    return e
+
+
+def test_real_embedding_gather_matches_the_former_operations():
+    # the lower triangle, all that Cholesky and the constant read, is the
+    # former one bit for bit, signed zeros included; the whole is symmetric
+    rng = np.random.default_rng(93)
+    count = 0
+    for n in range(1, 17):
+        for _ in range(63):
+            kind = count % 3
+            if kind == 0:
+                m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            elif kind == 1:
+                m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                m[rng.random((n, n)) < 0.7] = 0.0
+            else:
+                m = with_signed_zeros(rng, (n, n), complex if count % 2 else float)
+            if count % 5 == 0:
+                m = m.T  # not C-contiguous
+            e = linalg._real_embedding(m)
+            assert_bitwise(np.tril(e), np.tril(former_real_embedding(m)))
+            assert e.tobytes() == e.T.tobytes()
+            count += 1
+    assert count >= 1000
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_real_embedding_matches_block_form(dtype):
     rng = np.random.default_rng(75)

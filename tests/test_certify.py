@@ -19,7 +19,7 @@ from ewcones.certify import (
     probe_state,
 )
 from ewcones.cones import bd_curve, special_points
-from ewcones.family import WitnessParams, witness_from_params
+from ewcones.family import WitnessParams, abcd_from_euler, witness_from_params
 from ewcones.linalg import hermitian_eig, partial_transpose
 from ewcones.maps import Witness, max_entangled_projector
 
@@ -465,6 +465,46 @@ def test_detect_accepts_skew_within_tol():
         detect(w, rho)
 
 
+def dot_trace(w, rho):
+    """Re Tr(W rho) of arrays as `detect` reads it: one dot product, sum_ij W_ji rho_ij."""
+    return float(np.vdot(w.conj().T, rho).real)
+
+
+def test_dot_trace_is_tr_w_rho():
+    # exact on small integer entries, which pins the orientation sum_ij W_ji X_ij
+    # on matrices that are neither Hermitian nor symmetric
+    rng = np.random.default_rng(94)
+    for n in (1, 3, 16):
+        for _ in range(10):
+            w, x = (rng.integers(-9, 10, (n, n)) + 1j * rng.integers(-9, 10, (n, n)) for _ in range(2))
+            assert dot_trace(w, x) == np.trace(w @ x).real
+            assert dot_trace(w, x.real) == np.trace(w @ x.real).real
+
+
+def test_detect_returns_the_dot_product_and_pairing_the_product_trace():
+    # detect sums in another order than the diagonal of W rho, so its value
+    # may move in the last ulps; pairing, whose terms cancel near b = d, keeps
+    # the product's diagonal bit for bit
+    rng = np.random.default_rng(95)
+    members = [WitnessParams(1.0, 1.0, 1.0, 0.0), WitnessParams(1.0, 0.75, 0.5, 0.75)]
+    members += [abcd_from_euler(*rng.uniform(0.0, 2.0 * np.pi, 3), parity=parity) for parity in ("proper", "improper")]
+    accepted = 0
+    for params in members:
+        w = witness_from_params(params)
+        for eps in (0.3, 1.0, 2.7):
+            probe = probe_state(eps)
+            assert repr(pairing(w, probe)) == repr(float(np.trace(w.operator @ probe.state).real))
+        for rho in seeded_states(rng):
+            got = outcome(detect, w, rho)
+            if isinstance(got, str):
+                continue
+            accepted += 1
+            assert repr(got) == repr(dot_trace(w.operator, rho))
+            scale = float(np.abs(w.operator.T * rho).sum())
+            assert abs(got - np.trace(w.operator @ rho).real) <= 32 * np.finfo(float).eps * scale
+    assert accepted == 4 * 24
+
+
 def jacobi_detect(w, rho, tol=DECISION_TOL):
     """detect as it was before the Cholesky proof: Jacobi decides every state."""
     rho = np.asarray(rho, dtype=complex)
@@ -477,7 +517,7 @@ def jacobi_detect(w, rho, tol=DECISION_TOL):
     low = hermitian_eig(rho + (rho.conj().T - rho) / 2).values[0]
     if low < -tol:
         raise ValueError(f"state is not positive semidefinite: eigenvalue {low:.6e}")
-    return float(np.trace(w.operator @ rho).real)
+    return dot_trace(w.operator, rho)
 
 
 def jacobi_probe_checks(rho, epsilon):

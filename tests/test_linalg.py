@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ewcones import linalg
+from ewcones import linalg, maps
 from ewcones.linalg import hermitian_eig, partial_transpose, psd_proved
 
 
@@ -75,6 +75,37 @@ def test_hermitian_eig_rejects_non_hermitian():
         m[3, 3] = bad
         with pytest.raises(ValueError, match="finite"):
             hermitian_eig(m)
+
+
+def test_hermitian_check_takes_one_pass_and_names_each_failure():
+    # max|m - m^H| alone decides: a non-finite entry makes it NaN or inf, and
+    # finiteness is read only to name the failure, with no warning escaping
+    finite = "^matrix entries must be finite$"
+    cases = []
+    for index in ((2, 2), (1, 3)):
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)):
+            m = np.eye(4, dtype=complex)
+            m[index] = bad
+            cases.append((m, finite))
+    pair = np.eye(4, dtype=complex)
+    pair[1, 3] = pair[3, 1] = np.inf  # inf - inf
+    cases.append((pair, finite))
+    # finite, but m - m^H overflows
+    over = np.eye(4)
+    over[0, 1], over[1, 0] = 1.7e308, -1.7e308
+    cases.append((over, r"^matrix is not Hermitian: max \|m - m\^dagger\| = inf$"))
+    skew = np.eye(4)
+    skew[0, 1] = 3e-12
+    cases.append((skew, r"^matrix is not Hermitian: max \|m - m\^dagger\| = 3\.000e-12$"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, message in cases:
+            for check in (linalg._require_hermitian, hermitian_eig, lambda m: maps.Witness(n=2, operator=m)):
+                with pytest.raises(ValueError, match=message):
+                    check(m)
+        within = np.eye(4)
+        within[0, 1] = linalg.HERMITIAN_TOL
+        assert linalg._require_hermitian(within) is not within
 
 
 def random_unitary(rng, n, complex_entries):

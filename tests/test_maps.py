@@ -11,6 +11,7 @@ from ewcones.certify import block_positivity_min, detect
 from ewcones.family import WitnessParams, abcd_from_euler, witness_from_params
 from ewcones.gellmann import build_basis
 from ewcones.maps import (
+    OrthogonalEmbedding,
     build_witness,
     choi_witness,
     embedding_from_block,
@@ -68,6 +69,45 @@ def test_embedding_from_block_infers_n_and_rejects_bad_blocks():
             embedding_from_block(block)
     with pytest.raises(TypeError):
         embedding_from_block(np.eye(2), n=3)
+
+
+def test_orthogonal_embedding_is_checked_when_built():
+    # this one used to be accepted: its det is 8, and its twirled witness read (2.25, 0.25, 0.25, 0.25)
+    with pytest.raises(ValueError, match=r"^block is not orthogonal: max \|B\^T B - I\| = 3\.000e\+00$"):
+        OrthogonalEmbedding(n=4, block=2 * np.eye(3), parity="improper")
+    r = euler_rotation(0.3, 0.5, 0.7)
+    nan = r.copy()
+    nan[1, 2] = np.nan
+    for n, block, parity, message in (
+        (4, r, "improper", "^parity is 'improper', but the block's determinant makes it 'proper'$"),
+        (4, -r, "proper", "^parity is 'proper', but the block's determinant makes it 'improper'$"),
+        (5, r, "proper", "^a block of order 3 needs n = 4, got n = 5$"),
+        (True, np.eye(1), "proper", "^n must be an integer, got True$"),
+        (4.0, r, "proper", "^n must be an integer, got 4.0$"),
+        (4, r[:2], "proper", r"^expected a non-empty square block, got shape \(2, 3\)$"),
+        (1, np.zeros((0, 0)), "proper", r"^expected a non-empty square block, got shape \(0, 0\)$"),
+        (4, nan, "proper", "^block entries must be finite$"),
+        (4, r, "Proper", "^parity must be 'proper' or 'improper', got 'Proper'$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            OrthogonalEmbedding(n=n, block=block, parity=parity)
+    emb = OrthogonalEmbedding(n=np.int64(4), block=r.tolist(), parity="proper")
+    assert type(emb.n) is int and emb.n == 4
+    assert emb.block.dtype == float and not emb.block.flags.writeable
+    assert emb.block.tobytes() == r.tobytes()
+    given = r.copy()
+    kept = OrthogonalEmbedding(n=4, block=given, parity="proper")
+    given[0, 0] = 5.0
+    assert not np.shares_memory(kept.block, given) and kept.block.tobytes() == r.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        kept.block[0, 0] = 5.0
+    with pytest.raises(ValueError, match="^parity is 'improper'"):
+        dataclasses.replace(kept, parity="improper")
+    for back in (copy.copy(kept), copy.deepcopy(kept), pickle.loads(pickle.dumps(kept))):
+        assert type(back.n) is int and back.parity == "proper"
+        assert not back.block.flags.writeable and back.block.tobytes() == r.tobytes()
+    for parity in ("proper", "improper"):
+        assert embedding_from_euler(0.3, 0.5, 0.7, parity).parity == parity
 
 
 def test_embedding_rotation_shape():
@@ -219,6 +259,17 @@ def test_witness_converts_its_operator_once():
     ):
         with pytest.raises(ValueError, match=message):
             maps.Witness(n=n, operator=given)
+
+
+def test_witness_keeps_n_as_a_plain_int():
+    # True and np.int64(4) used to be stored as given
+    w = maps.Witness(n=np.int64(4), operator=np.eye(16))
+    assert type(w.n) is int and w.n == 4
+    for back in (dataclasses.replace(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert type(back.n) is int and back.n == 4
+    for bad, shown in ((True, "True"), (False, "False"), (np.True_, "np.True_")):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {shown}$"):
+            maps.Witness(n=bad, operator=[[1.0]])
 
 
 def construction_routes():
