@@ -79,9 +79,16 @@ def _block_parity(block: np.ndarray) -> str:
     if block.ndim != 2 or block.shape[0] != block.shape[1] or block.size == 0:
         raise ValueError(f"expected a non-empty square block, got shape {block.shape}")
     # checked first: NaN passes the orthogonality test and its det reads as improper
-    if not np.isfinite(block).all():
+    largest = float(np.abs(block).max())
+    if not math.isfinite(largest):
         raise ValueError("block entries must be finite")
-    dev = float(np.abs(np.dot(block.T, block) - _identity(len(block))).max())
+    if largest < 2.0**500:
+        dev = float(np.abs(np.dot(block.T, block) - _identity(len(block))).max())
+    else:
+        # a Gram entry sums len(block) products, each below 2**1000 under the
+        # bound above, so only here can it overflow, to inf, which fails the test
+        with np.errstate(over="ignore"):
+            dev = float(np.abs(np.dot(block.T, block) - _identity(len(block))).max())
     if dev > ORTHOGONALITY_TOL:
         raise ValueError(f"block is not orthogonal: max |B^T B - I| = {dev:.3e}")
     return "proper" if np.linalg.det(block) > 0 else "improper"

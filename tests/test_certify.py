@@ -465,6 +465,19 @@ def test_detect_accepts_skew_within_tol():
         detect(w, rho)
 
 
+def test_overflowing_skew_is_not_hermitian_without_a_warning():
+    # rho - rho^dagger overflowed with a RuntimeWarning (an error here) before
+    # the message; next to the bound the skew, 2 sqrt(2) times the largest
+    # part, is still finite and measured on the common path
+    w = witness_from_params(WitnessParams(1.0, 1.0, 1.0, 0.0))
+    below = math.nextafter(2.0**1021, 0.0)
+    for top, bottom in ((1.7e308, -1.7e308), (complex(below, below), complex(-below, below))):
+        rho = np.eye(16, dtype=complex) / 16.0
+        rho[0, 1], rho[1, 0] = top, bottom
+        with pytest.raises(ValueError, match="^state is not Hermitian$"):
+            detect(w, rho)
+
+
 def dot_trace(w, rho):
     """Re Tr(W rho) of arrays as `detect` reads it: one dot product, sum_ij W_ji rho_ij."""
     return float(np.vdot(w.conj().T, rho).real)

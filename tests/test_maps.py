@@ -71,6 +71,14 @@ def test_embedding_from_block_infers_n_and_rejects_bad_blocks():
         embedding_from_block(np.eye(2), n=3)
 
 
+def test_overflowing_gram_is_not_orthogonal_without_a_warning():
+    # B^T B overflowed with a RuntimeWarning (an error here) before the message
+    block = np.eye(3)
+    block[0, 1] = 1e300
+    with pytest.raises(ValueError, match=r"^block is not orthogonal: max \|B\^T B - I\| = inf$"):
+        embedding_from_block(block)
+
+
 def test_orthogonal_embedding_is_checked_when_built():
     # this one used to be accepted: its det is 8, and its twirled witness read (2.25, 0.25, 0.25, 0.25)
     with pytest.raises(ValueError, match=r"^block is not orthogonal: max \|B\^T B - I\| = 3\.000e\+00$"):

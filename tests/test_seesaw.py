@@ -23,8 +23,9 @@ the floor must not lie above the reference by more than SEESAW_FTOL, and the
 weights it returns must attain its value. The secular half-step is checked
 against eigh, and the n = 3 floor against the Cho-Kye-Lee criterion. Polish
 columns that a Newton certificate retires are run on by a see-saw with eigh,
-which must not pass their certified limits, and members near the vertex
-limit (2, 1, 0, 0) must keep the face-basin floors they had before.
+which must not pass their certified limits, the certificate must match its
+untrimmed former self (`ref_certified_limits`) bit for bit, and members near
+the vertex limit (2, 1, 0, 0) must keep the face-basin floors they had before.
 
 The three-operand einsums the see-saw used before the realignment stay here
 as a second reference, with eigh throughout: the contraction must match them
@@ -44,7 +45,10 @@ from ewcones import certify
 from ewcones.certify import (
     SEESAW_FTOL,
     SEESAW_MAX_ITER,
+    _NEWTON_STEPS,
+    _NEWTON_TOL,
     _certified_limits,
+    _hessian_map,
     _lattice_floor,
     _phi_structure,
     _seesaw_starts,
@@ -330,28 +334,33 @@ def test_spread_points_reach_a_narrow_basin_next_to_a_face():
     assert value <= -0.0039435 and abs(attained(w, p, q) - value) <= 1e-12
 
 
-# Floors at commit d126f0d, where every polish column ran to the stop rule,
-# near the vertex limit (2 - t, 1 + t, 0, 0) and its rotation (2 - t, 0, 0, 1 + t).
-# Their minima lie in narrow face basins at weights of order t and t^2; a
-# polish that moved a creeping column onto the Newton point next to it lost
-# them to the uniform minimum 0.
+# Floors that the polish reaches near the vertex limit (2 - t, 1 + t, 0, 0)
+# and its rotation (2 - t, 0, 0, 1 + t), recorded when creeping columns were
+# retired at a predicted 20 iterations. Their minima lie in narrow face basins
+# at weights of order t and t^2; a rule that stops a creeping column before
+# it reaches its face basin, or moves it onto the Newton point next to it,
+# loses them to the uniform minimum 0.
 VERTEX_FLOORS = {
-    (4.266e-3, 1): -7.626913988437395e-08,
-    (4.266e-3, 3): -7.626891310623721e-08,
-    (2.07e-3, 1): -8.171394955069856e-09,
-    (2.07e-3, 3): -8.176083931222877e-09,
-    (2e-3, 1): -7.269225083749939e-09,
-    (2e-3, 3): -7.274124270386962e-09,
-    (1.1e-3, 1): -2.220446049250313e-16,
-    (1.1e-3, 3): -2.220446049250313e-16,
+    (4.266e-3, 1): -7.632559971285172e-08,
+    (4.266e-3, 3): -7.632559971287205e-08,
+    (2.07e-3, 1): -8.796692761787648e-09,
+    (2.07e-3, 3): -8.79669276178426e-09,
+    (2e-3, 1): -7.936329450844643e-09,
+    (2e-3, 3): -7.936329450849725e-09,
+    (1.1e-3, 1): -1.3251602082511945e-09,
+    (1.1e-3, 3): -1.325160208249924e-09,
 }
+
+
+def vertex_member(t, side):
+    params = [2.0 - t, 0.0, 0.0, 0.0]
+    params[side] = 1.0 + t
+    return WitnessParams(*params)
 
 
 @pytest.mark.parametrize("t, side", sorted(VERTEX_FLOORS))
 def test_vertex_limit_keeps_its_face_basin(t, side):
-    params = [2.0 - t, 0.0, 0.0, 0.0]
-    params[side] = 1.0 + t
-    check_lattice_floor(WitnessParams(*params).witness, VERTEX_FLOORS[t, side])
+    check_lattice_floor(vertex_member(t, side).witness, VERTEX_FLOORS[t, side])
 
 
 def seesaw_floor_members():
@@ -393,8 +402,8 @@ def test_retired_columns_never_pass_their_certified_limit(monkeypatch):
     # below its certified limit by more than SEESAW_FTOL
     retired = []
 
-    def recording(s, table, p, q, values):
-        limit, p_limit, q_limit = _certified_limits(s, table, p, q, values)
+    def recording(s, table, hessian, p, q, values):
+        limit, p_limit, q_limit = _certified_limits(s, table, hessian, p, q, values)
         for j in np.flatnonzero(np.isfinite(limit)):
             retired.append((s, table, q[:, j], limit[j]))
         return limit, p_limit, q_limit
@@ -407,6 +416,116 @@ def test_retired_columns_never_pass_their_certified_limit(monkeypatch):
     s, tables, q, limits = (np.array(column) for column in zip(*retired))
     ends = eigh_weight_seesaw(tables, s, q, 5000)
     assert np.all(ends >= limits - SEESAW_FTOL), (ends - limits).min()
+
+
+def ref_certified_limits(s, table, p, q, values):
+    """The certificate as it was before its trims: the Hessian map per call, the masks and the inertia on every column."""
+    n, m = p.shape
+    size = 2 * n
+    hessian = _hessian_map(s, table)
+    halves = np.repeat(np.eye(2), n, axis=0)
+    w = np.sqrt(np.concatenate([p, q]).T)
+    ell = np.repeat(values, 2).reshape(m, 2)
+    free = np.ones((m, size + 2), dtype=bool)
+    free[:, :size] = w > 0
+    keep, pin = free[:, :, None] & free[:, None, :], ~free[:, :, None] * np.eye(size + 2)
+    k = np.zeros((m, size + 2, size + 2))
+    f = np.empty((m, size + 2, 1))
+    diagonal = np.arange(size)
+    before = after = np.full(m, math.inf)
+    for _ in range(_NEWTON_STEPS):
+        h = ((w[:, :, None] * w[:, None, :]).reshape(m, -1) @ hessian).reshape(m, size, size)
+        lam = ell @ halves.T
+        f[:, :size] = h @ w[:, :, None] / 3.0 - (lam * w)[:, :, None]
+        f[:, size:, 0] = 0.5 - 0.5 * (w * w) @ halves
+        k[:, :size, :size] = h
+        k[:, diagonal, diagonal] -= lam
+        k[:, size:, :size] = -(w[:, None, :] * halves.T)
+        k[:, :size, size:] = k[:, size:, :size].transpose(0, 2, 1)
+        k *= keep
+        k += pin
+        f *= free[:, :, None]
+        try:
+            step = np.linalg.solve(k, f)[:, :, 0]
+        except np.linalg.LinAlgError:
+            return np.full(m, math.inf), p, q
+        w = w - step[:, :size]
+        ell = ell - step[:, size:]
+        before, after = after, np.abs(step[:, :size]).max(axis=1)
+        if after.max() <= _NEWTON_TOL:
+            break
+    certified = (after <= _NEWTON_TOL) & (before <= math.sqrt(_NEWTON_TOL)) & (ell[:, 0] <= values)
+    certified &= np.count_nonzero(np.linalg.eigvalsh(k) < 0.0, axis=1) == 2
+    weights = w[:, :n].T ** 2
+    weights /= weights.sum(axis=0)
+    limit, q_limit = _secular_half_step(table, s, weights, np.full(m, math.inf))
+    certified &= limit >= ell[:, 0] - SEESAW_FTOL
+    return np.where(certified, limit, math.inf), weights, q_limit
+
+
+def recorded_certificate_calls(monkeypatch, members):
+    """The arguments of every certificate call the floors of members make."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _certified_limits(*args)
+
+    monkeypatch.setattr(certify, "_certified_limits", recording)
+    for params in members:
+        w = params.witness
+        _lattice_floor(*_phi_structure(w.operator, w.n))
+    monkeypatch.undo()
+    return calls
+
+
+def near_uniform_calls():
+    """Certificate inputs next to the uniform weights, a critical point of G and a saddle for about half the members.
+
+    Their steps converge there and the inertia rejects the saddles. Every
+    other call zeroes the first weight of p while q's stays positive, which
+    only the support masks keep at 0.
+    """
+    rng = np.random.default_rng(5)
+    calls = []
+    for k, x in enumerate(rng.dirichlet((1.0, 1.0, 1.0, 1.0), 20) * 3.0):
+        w = WitnessParams(*x).witness
+        s, table = _phi_structure(w.operator, w.n)
+        p, q = (np.abs(0.25 + 1e-3 * rng.standard_normal((4, 6))) for _ in range(2))
+        p[0] *= k % 2
+        p /= p.sum(axis=0)
+        q /= q.sum(axis=0)
+        values = np.einsum("ij,ik,kj->j", p, table, q) - s * np.sqrt(p * q).sum(axis=0) ** 2
+        calls.append((s, table, _hessian_map(s, table), p, q, values))
+    return calls
+
+
+def test_trimmed_certificate_matches_its_reference_bit_for_bit(monkeypatch):
+    # one Hessian map per floor, no support masks on full support and the
+    # inertia on converged columns only change no output bit, on the calls of
+    # the benchmark corpus (all on full support), of the vertex members, whose
+    # face-basin columns have zero weights and take the masks, and next to
+    # the uniform weights
+    vertices = [vertex_member(t, side) for t, side in sorted(VERTEX_FLOORS)]
+    calls = recorded_certificate_calls(monkeypatch, seesaw_floor_members() + HARD_MEMBERS + vertices)
+    masked = [args for args in calls if (args[3] == 0.0).any() or (args[4] == 0.0).any()]
+    assert len(calls) >= 20 and masked, (len(calls), len(masked))
+    assert any(np.isfinite(_certified_limits(*args)[0]).any() for args in masked)
+    for s, table, hessian, p, q, values in calls + near_uniform_calls():
+        assert hessian.tobytes() == _hessian_map(s, table).tobytes()
+        got = _certified_limits(s, table, hessian, p, q, values)
+        for a, b in zip(got, ref_certified_limits(s, table, p, q, values)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_flat_minimum_makes_a_bounded_number_of_certificate_attempts(monkeypatch):
+    # the minimum 0 of (1, 1, 1, 0) is flat, so three columns creep on to the
+    # iteration cap; the checks that certify none of them come twice as late
+    # each time, at iterations 20, 40, 80, 160 and 320 after the first at 10
+    calls = recorded_certificate_calls(monkeypatch, [WitnessParams(1.0, 1.0, 1.0, 0.0)])
+    w = WitnessParams(1.0, 1.0, 1.0, 0.0).witness
+    value = _lattice_floor(*_phi_structure(w.operator, w.n))[0]
+    assert len(calls) <= 6 and abs(value) <= 1e-12, (len(calls), value)
 
 
 def cho_kye_lee_margin(a, b, c):
