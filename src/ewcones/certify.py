@@ -18,8 +18,8 @@ import numpy as np
 
 from .cones import ConeReport, cone_residuals
 from .family import DECISION_TOL, WitnessParams, _require_tol
-from .linalg import _largest_part, _psd_proved_checked, hermitian_eig, partial_transpose
-from .maps import Witness, _circulant, _ii_operator
+from .linalg import _largest_part, _psd_proved_checked, _skew, hermitian_eig, partial_transpose
+from .maps import Witness, _circulant, _ii_operator, _ii_parts
 
 __all__ = [
     "Certificate",
@@ -45,9 +45,6 @@ _CERTIFICATE_COST = 6
 _NEWTON_STEPS = 12
 _NEWTON_TOL = 1e-12
 _NORMAL_MIN = float(np.finfo(float).tiny)
-# below it a difference of two parts, at most 2**1022, and its modulus, at
-# most 2**1022.5, stay finite
-_SKEW_SAFE = 2.0**1021
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,25 +256,25 @@ def _seesaw_starts(n: int, restarts: int, seed: int) -> np.ndarray:
 def _phi_structure(op: np.ndarray, n: int) -> tuple[float, np.ndarray] | None:
     """(s, D) when op = sum_ik D[i, k] |ik><ik| - s |Phi><Phi| exactly, else None.
 
-    Phi = sum_i |ii>, s = -<00|op|11> must be real and D real. Every family
-    witness has this form, with s = 1. For such a witness a see-saw half-step
+    Phi = sum_i |ii>. Read from op's `maps._ii_parts`, whose block must be -s
+    off its diagonal, s = -<00|op|11> real, and D real. Every family witness
+    has this form, with s = 1. For such a witness a see-saw half-step
     depends on the running factor's weights |x|^2 alone, and so does the
     next factor's (`_secular_half_step`). s must be at least 2n times the
     least normal float, so that some s w_k of unit weights stays normal.
     """
-    if n < 2:
+    if n < 2 or (parts := _ii_parts(op, n)) is None:
         return None
-    s = -op[0, n + 1]
+    table, block = parts
+    s = -block[0, 1]
     if not (s.real >= 2 * n * _NORMAL_MIN and s.imag == 0):
         return None
-    shifted = op.copy()
-    ii = np.arange(n) * (n + 1)
-    shifted[np.ix_(ii, ii)] += s
-    diagonal = shifted.diagonal().copy()
-    np.fill_diagonal(shifted, 0.0)
-    if shifted.any() or diagonal.imag.any():
+    block += s
+    np.fill_diagonal(table, block.diagonal())
+    np.fill_diagonal(block, 0.0)
+    if block.any() or table.imag.any():
         return None
-    return float(s.real), diagonal.real.reshape(n, n)
+    return float(s.real), table.real
 
 
 def _secular_half_step(table: np.ndarray, s: float, w: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -641,7 +638,7 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
     of rho, which is finite only when every entry is, and the skew
     max|rho - rho^dagger| <= tol). Only when that proof fails does the Jacobi
     spectrum decide, and a rejection quotes its lowest eigenvalue. Raises
-    ValueError unless tol is finite and non-negative.
+    ValueError unless tol is finite and non-negative, or if Tr(W rho) overflows.
     """
     _require_tol(tol)
     rho = np.asarray(rho, dtype=complex)
@@ -650,12 +647,7 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
     largest = _largest_part(rho)
     if not math.isfinite(largest):
         raise ValueError("state entries must be finite")
-    if largest < _SKEW_SAFE:
-        skew = float(np.abs(rho - rho.conj().T).max())
-    else:
-        # a difference can overflow only here, to inf, which is above every finite tol
-        with np.errstate(over="ignore"):
-            skew = float(np.abs(rho - rho.conj().T).max())
+    skew = _skew(rho)
     if not skew <= tol:
         raise ValueError("state is not Hermitian")
     if not _psd_proved_checked(rho, largest, skew, tol):
@@ -668,4 +660,7 @@ def detect(w: Witness, rho: np.ndarray, tol: float = DECISION_TOL) -> float:
         if low < -tol:
             raise ValueError(f"state is not positive semidefinite: eigenvalue {low:.6e}")
     # Tr(W rho) = sum_ij W_ji rho_ij, one dot product that never forms W rho
-    return float(np.vdot(w.operator.conj().T, rho).real)
+    value = float(np.vdot(w.operator.conj().T, rho).real)
+    if not math.isfinite(value):
+        raise ValueError(f"Tr(W rho) overflows the float range: {value}")
+    return value

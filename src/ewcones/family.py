@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errata import ERRATA
-from .maps import Witness, _circulant, _ii_operator, _require_finite_angles, _require_parity
+from .maps import Witness, _circulant, _circulant_index, _ii_operator, _require_finite_angles, _require_parity
 
 __all__ = [
     "N3Params",
@@ -171,13 +171,9 @@ _APPENDIX_COEFFS: dict[str, dict[tuple[int, int], float]] = {
     "d4": {(3, 2): 1 / _S2, (3, 3): -3 / 12},
 }
 
-# label -> 0-based (row, col) position in the scaled stochastic matrix
-_APPENDIX_POS: dict[str, tuple[int, int]] = {}
-for _i in range(4):
-    _APPENDIX_POS[f"a{_i + 1}"] = (_i, _i)
-    _APPENDIX_POS[f"b{_i + 1}"] = (_i, (_i + 1) % 4)
-    _APPENDIX_POS[f"c{_i + 1}"] = (_i, (_i + 2) % 4)
-    _APPENDIX_POS[f"d{_i + 1}"] = (_i, (_i + 3) % 4)
+# label -> 0-based (row, col) in the scaled stochastic matrix: parameter s of
+# row i sits where the circulant's index table holds s
+_APPENDIX_POS = {f"{'abcd'[s]}{i + 1}": (i, j) for (i, j), s in np.ndenumerate(_circulant_index(4))}
 
 
 def appendix_matrix(block: np.ndarray, corrected: bool = True) -> np.ndarray:
@@ -207,22 +203,17 @@ def witness_from_params(params: WitnessParams) -> Witness:
     return params.witness
 
 
-# entry (i, s) indexes the ket |i, i+s mod 4>, so column s holds the four
-# places of parameter s on the diagonal of W
-_CYCLIC_DIAGONALS = 4 * np.arange(4)[:, None] + (np.arange(4)[:, None] + np.arange(4)) % 4
-_CYCLIC_DIAGONALS.flags.writeable = False
-
-
 def params_from_witness(w: Witness) -> WitnessParams:
     """Read (a, b, c, d) back from a circulant witness.
 
-    Averages the cyclic diagonals of the diagonal blocks and checks that the
-    witness actually has the circulant block structure within CIRCULANT_TOL.
+    Averages each parameter's four places on the diagonal, which the
+    circulant's index table gives, and checks that the witness actually has
+    the circulant block structure within CIRCULANT_TOL.
     """
     op = w.operator
     if w.n != 4:
         raise ValueError(f"expected n=4 and a 16 x 16 operator, got n={w.n} and shape {op.shape}")
-    vals = op.diagonal().real[_CYCLIC_DIAGONALS].mean(axis=0)
+    vals = np.bincount(_circulant_index(4).ravel(), op.diagonal().real) / 4
     params = WitnessParams(*map(float, vals), provenance={"kind": "extracted"})
     dev = float(np.max(np.abs(op - params.witness.operator)))
     if dev > CIRCULANT_TOL:

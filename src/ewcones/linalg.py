@@ -51,6 +51,12 @@ def _require_square_finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _skew(a: np.ndarray) -> float:
+    """max|a - a^H|, 0 when a is empty; inf on overflow, NaN on a non-finite entry, and no warning."""
+    return float(np.abs(a - a.conj().T).max(initial=0.0))
+
+
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
     """m as a complex array, if square, finite and Hermitian within HERMITIAN_TOL.
 
@@ -58,8 +64,7 @@ def _require_hermitian(m: np.ndarray) -> np.ndarray:
     inf, so finiteness is looked at only to name a failure.
     """
     a = _require_square(m)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a finite overflow
-        dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    dev = _skew(a)
     if not dev <= HERMITIAN_TOL:
         _require_square_finite(a)
         raise ValueError(f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e}")
@@ -321,7 +326,7 @@ def _psd_proved_checked(a: np.ndarray, largest: float | None, skew: float | None
     mantissa, tol_exponent = math.frexp(tol)
     scaled_tol = math.ldexp(mantissa, min(tol_exponent - exponent, size.bit_length()))
     gamma = (size + 2) * _UNIT_ROUNDOFF / (1 - (size + 2) * _UNIT_ROUNDOFF)
-    skew = float(np.max(np.abs(a - a.conj().T), initial=0.0)) if skew is None else _scaled_up(skew, exponent)
+    skew = _skew(a) if skew is None else _scaled_up(skew, exponent)
     c = 2.0 * (
         gamma / (1 - gamma) * (float(np.abs(e.diagonal()).sum()) + size * scaled_tol)
         + n * skew

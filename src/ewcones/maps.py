@@ -78,18 +78,12 @@ def _block_parity(block: np.ndarray) -> str:
     """The parity of a float block, once it is checked to be non-empty, square, finite and orthogonal."""
     if block.ndim != 2 or block.shape[0] != block.shape[1] or block.size == 0:
         raise ValueError(f"expected a non-empty square block, got shape {block.shape}")
-    # checked first: NaN passes the orthogonality test and its det reads as improper
-    largest = float(np.abs(block).max())
-    if not math.isfinite(largest):
+    # checked first, to name it: a NaN or inf would read as not orthogonal
+    if not np.isfinite(block).all():
         raise ValueError("block entries must be finite")
-    if largest < 2.0**500:
+    with np.errstate(over="ignore"):  # a Gram entry that overflows fails the test
         dev = float(np.abs(np.dot(block.T, block) - _identity(len(block))).max())
-    else:
-        # a Gram entry sums len(block) products, each below 2**1000 under the
-        # bound above, so only here can it overflow, to inf, which fails the test
-        with np.errstate(over="ignore"):
-            dev = float(np.abs(np.dot(block.T, block) - _identity(len(block))).max())
-    if dev > ORTHOGONALITY_TOL:
+    if not dev <= ORTHOGONALITY_TOL:
         raise ValueError(f"block is not orthogonal: max |B^T B - I| = {dev:.3e}")
     return "proper" if np.linalg.det(block) > 0 else "improper"
 
@@ -286,6 +280,20 @@ def _ii_operator(diagonal, block) -> np.ndarray:
     op.flat[:: n * n + 1] = np.asarray(diagonal, dtype=complex) + 0.0
     op.flat[_ii_offsets(n)] = np.asarray(block) + 0.0
     return op
+
+
+def _ii_parts(op: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The inverse of `_ii_operator`: complex n x n parts (table, block) such that
+    `_ii_operator(table.ravel(), block)` is op bit for bit, except that a -0.0
+    comes back as 0.0; None when op has a nonzero entry off those parts."""
+    rest = np.array(op, dtype=complex)
+    table = rest.diagonal().reshape(n, n).copy()
+    block = rest.flat[_ii_offsets(n)]
+    rest.flat[:: n * n + 1] = 0.0
+    rest.flat[_ii_offsets(n)] = 0.0
+    if rest.any():
+        return None
+    return table, block
 
 
 def build_witness(emb: OrthogonalEmbedding) -> Witness:

@@ -403,6 +403,9 @@ def test_ii_operator_matches_diag_and_ix_on_every_built_operator(monkeypatch):
     def checked(diagonal, block, caller="test"):
         op = real(diagonal, block)
         assert_bitwise(op, ref_ii_operator(diagonal, block))
+        # and _ii_parts reads back parts that write the same operator
+        table, parts_block = maps._ii_parts(op, len(block))
+        assert_bitwise(real(table.ravel(), parts_block), op)
         calls.append((caller, len(block)))
         return op
 

@@ -467,8 +467,7 @@ def test_detect_accepts_skew_within_tol():
 
 def test_overflowing_skew_is_not_hermitian_without_a_warning():
     # rho - rho^dagger overflowed with a RuntimeWarning (an error here) before
-    # the message; next to the bound the skew, 2 sqrt(2) times the largest
-    # part, is still finite and measured on the common path
+    # the message; just below 2**1021 the skew is still finite
     w = witness_from_params(WitnessParams(1.0, 1.0, 1.0, 0.0))
     below = math.nextafter(2.0**1021, 0.0)
     for top, bottom in ((1.7e308, -1.7e308), (complex(below, below), complex(-below, below))):
@@ -476,6 +475,17 @@ def test_overflowing_skew_is_not_hermitian_without_a_warning():
         rho[0, 1], rho[1, 0] = top, bottom
         with pytest.raises(ValueError, match="^state is not Hermitian$"):
             detect(w, rho)
+
+
+def test_overflowing_trace_is_an_error_without_a_warning():
+    # an accepted state whose Tr(W rho), 12 times its scale here, overflows
+    # used to return inf; the JSON record then failed on the infinity
+    w = WitnessParams(1.0, 0.75, 0.5, 0.75).witness
+    assert detect(w, 1e307 * np.eye(16)) == 1.2e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^Tr\(W rho\) overflows the float range: inf$"):
+            detect(w, 1.7e308 * np.eye(16))
 
 
 def dot_trace(w, rho):

@@ -16,6 +16,7 @@ import ewcones
 from ewcones import __version__, certify, cli
 from ewcones.cli import main, matrix_from_pairs, matrix_to_pairs
 from ewcones.cones import bd_curve, cone_residuals, sample_cloud, special_points
+from ewcones.errata import errata_ids
 from ewcones.family import WitnessParams, abcd_from_euler
 from ewcones.maps import embedding_from_euler, max_entangled_projector
 
@@ -497,6 +498,8 @@ def test_spa_record(capsys):
     assert out["spa3_satisfied"] and out["pairs_separable"]
     assert out["slacks"] == [pytest.approx(3.0)] * 3
     assert rec["errata_applied"] == ["spa-critical-p-sign", "spa-normalization-sign"]
+    # the record types its ids as literals: each must name a recorded correction
+    assert set(rec["errata_applied"]) <= set(errata_ids())
     code, rec = run(capsys, ["spa", "--params", "1,1,1,0"])
     assert rec["outputs"]["p_star"] == pytest.approx(8.0 / 11.0, abs=1e-12)
 
@@ -559,6 +562,15 @@ def test_detect_malformed_json(capsys, tmp_path):
     state.write_text("{not json")
     code, rec = run(capsys, ["detect", "--params", "1,1,1,0", "--state", str(state)])
     assert code == 3
+
+
+def test_detect_state_whose_trace_overflows(capsys, tmp_path):
+    # a finite, accepted state: the record names the trace, not the JSON encoder's infinity
+    state = tmp_path / "huge.json"
+    state.write_text(json.dumps(matrix_to_pairs(1.7e308 * np.eye(16))))
+    code, rec = run(capsys, ["detect", "--params", "1,0.75,0.5,0.75", "--state", str(state)])
+    assert code == 3
+    assert rec["error"] == {"kind": "validation", "message": "Tr(W rho) overflows the float range: inf"}
 
 
 def test_version_flag(capsys):

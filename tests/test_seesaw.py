@@ -57,7 +57,16 @@ from ewcones.certify import (
     block_positivity_min,
 )
 from ewcones.family import WitnessParams, abcd_from_euler, n3_abc, witness_from_params
-from ewcones.maps import Witness, _circulant, _ii_operator, max_entangled_projector
+from ewcones.maps import (
+    Witness,
+    _circulant,
+    _ii_operator,
+    _ii_parts,
+    build_witness,
+    embedding_from_euler,
+    max_entangled_projector,
+    twirl,
+)
 
 
 def realigned_halves(w):
@@ -567,12 +576,34 @@ def test_phi_structure_is_read_exactly(name):
         s, table = structure
         phi = np.eye(w.n).ravel()
         assert s > 0 and np.array_equal(op + s * np.outer(phi, phi), np.diag(table.ravel()))
-        # one changed entry, or a complex diagonal entry, leaves the structure
+        # one changed entry, or a complex diagonal entry, leaves the structure;
+        # only (1, 2) leaves the ii-form itself, the others stay on its pattern
         for i, j, delta in ((1, 2, 1e-300), (0, w.n + 1, 1j * 1e-300), (3, 3, 1j)):
             moved = op.copy()
             moved[i, j] += delta
             moved[j, i] = np.conj(moved[i, j]) if i != j else moved[i, j]
             assert _phi_structure(moved, w.n) is None, (i, j)
+            parts = _ii_parts(moved, w.n)
+            assert (parts is None) == ((i, j) == (1, 2)), (i, j)
+            if parts is not None:
+                # -max_entangled_projector holds -0.0, which comes back as 0.0
+                assert _ii_operator(parts[0].ravel(), parts[1]).tobytes() == (moved + 0.0).tobytes(), (i, j)
+
+
+def test_twirled_rotation_witness_is_off_the_ii_form():
+    # twirl's output sits about 1e-16 off the ii pattern, so it has no parts and
+    # takes the seeded see-saw, while the closed-form member of the same angles
+    # takes the lattice floor
+    angles = (0.4, -1.3, 2.9)
+    for parity in ("proper", "improper"):
+        op = twirl(build_witness(embedding_from_euler(*angles, parity=parity))).operator
+        assert _ii_parts(op, 4) is None and _phi_structure(op, 4) is None, parity
+        off = op.copy()
+        ii = np.arange(0, 16, 5)
+        off[np.ix_(ii, ii)] = 0.0
+        np.fill_diagonal(off, 0.0)
+        assert 0 < np.abs(off).max() < 1e-15, parity
+        assert _phi_structure(abcd_from_euler(*angles, parity=parity).witness.operator, 4) is not None, parity
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
